@@ -213,7 +213,12 @@ def test_service_perf_bench(benchmark):
     payload = benchmark.pedantic(
         lambda: run(smoke=True, repeats=1), rounds=1, iterations=1,
     )
-    assert payload["chaos"]["availability"] > 0.5
+    # Every chaos request was answered exactly once (gated in _drive);
+    # the overload must also have exercised the degradation ladder:
+    # some requests served in full, some shed by the queue.
+    quality = payload["chaos"]["by_quality"]
+    assert quality.get("full", 0) >= 1, quality
+    assert quality.get("rejected", 0) >= 1, quality
     assert payload["kernel"]["latency_p99_ms"] > 0
 
 

@@ -20,10 +20,35 @@ import numpy as np
 from repro.cells.combinational import Inverter, Nand2
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError, SimulationError
+from repro.kernels.delay_law import delay_grid
 from repro.sim.engine import SimulationEngine
 from repro.sim.netlist import Netlist
-from repro.sim.waveform import ConstantWaveform, Waveform
+from repro.sim.waveform import Waveform
 from repro.units import NS
+
+
+#: Default sampling step of the counted rail, seconds.
+_DT = 10e-12
+
+
+def _sample_times(window: float, dt: float) -> np.ndarray:
+    """The count's sample instants ``0, dt, ...`` below ``window``.
+
+    Raises:
+        ConfigurationError: non-positive window or dt.
+    """
+    if window <= 0 or dt <= 0:
+        raise ConfigurationError("window and dt must be positive")
+    return np.arange(0.0, window, dt)
+
+
+def _samples(rail: Waveform | float, ts: np.ndarray) -> np.ndarray:
+    """A rail sampled at ``ts``: one fill for a static level, else the
+    waveform's scalar ``__call__`` per sample (its vectorized samplers
+    may round differently)."""
+    if isinstance(rail, (int, float)):
+        return np.full(len(ts), float(rail))
+    return np.array([rail(t) for t in ts], dtype=float)
 
 
 class RingOscillatorSensor:
@@ -45,48 +70,68 @@ class RingOscillatorSensor:
         # Each stage drives the next stage's input.
         self._stage_load = self.inv.pin("A").cap
 
+    def _stage_delays(self, v_eff: np.ndarray | float) -> np.ndarray:
+        """Stage delays over an effective-supply grid, seconds:
+        :func:`~repro.kernels.delay_law.delay_grid`, bit-identical to
+        the scalar ``AlphaPowerModel.delay`` at zero input slew
+        (``+inf`` at or below threshold)."""
+        model = self.inv.model
+        return delay_grid(v_eff, model.intrinsic_cap + self._stage_load,
+                          self.tech.drive_constant / model.strength,
+                          self.tech.vth, self.tech.alpha)
+
+    def _periods(self, v_eff: np.ndarray | float) -> np.ndarray:
+        return 2.0 * self.n_stages * self._stage_delays(v_eff)
+
+    def _frequencies(self, v_eff: np.ndarray | float) -> np.ndarray:
+        # An infinite period gives exactly 0 Hz (1 / inf).
+        return 1.0 / self._periods(v_eff)
+
+    def _counts(self, v_eff: np.ndarray, dt: float) -> np.ndarray:
+        """Integrated frequency along the last (time) axis, floored."""
+        return np.floor(np.trapezoid(self._frequencies(v_eff), dx=dt,
+                                     axis=-1))
+
     def stage_delay(self, v_eff: float) -> float:
         """One inverter delay at an effective supply, seconds."""
-        return self.inv.model.delay(v_eff, self._stage_load)
+        return float(self._stage_delays(v_eff))
 
     def period(self, v_eff: float) -> float:
         """Oscillation period at an effective supply, seconds."""
-        return 2.0 * self.n_stages * self.stage_delay(v_eff)
+        return float(self._periods(v_eff))
 
     def frequency(self, v_eff: float) -> float:
         """Oscillation frequency, hertz (0 below threshold)."""
-        p = self.period(v_eff)
-        if np.isinf(p):
-            return 0.0
-        return 1.0 / p
+        return float(self._frequencies(v_eff))
 
     def count(self, window: float, *,
               vdd_n: Waveform | float = 1.0,
               gnd_n: Waveform | float = 0.0,
-              dt: float = 10e-12) -> int:
+              dt: float = _DT) -> int:
         """Oscillation count over a window with time-varying rails.
 
         Integrates the instantaneous frequency — the defining
-        *averaging* behaviour of a counted RO.
+        *averaging* behaviour of a counted RO — over the effective
+        rail ``vdd - gnd`` sampled every ``dt``.
 
         Raises:
             ConfigurationError: non-positive window or dt.
         """
-        if window <= 0 or dt <= 0:
-            raise ConfigurationError("window and dt must be positive")
-        vdd = (ConstantWaveform(vdd_n) if isinstance(vdd_n, (int, float))
-               else vdd_n)
-        gnd = (ConstantWaveform(gnd_n) if isinstance(gnd_n, (int, float))
-               else gnd_n)
-        ts = np.arange(0.0, window, dt)
-        freqs = np.array([self.frequency(vdd(t) - gnd(t)) for t in ts])
-        return int(np.floor(np.trapezoid(freqs, dx=dt)))
+        ts = _sample_times(window, dt)
+        v_eff = _samples(vdd_n, ts) - _samples(gnd_n, ts)
+        return int(self._counts(v_eff, dt))
 
     def calibration_curve(self, v_grid: np.ndarray,
                           window: float) -> list[tuple[float, int]]:
-        """(effective supply, count) pairs for static levels."""
-        return [(float(v), self.count(window, vdd_n=float(v)))
-                for v in np.asarray(v_grid, dtype=float)]
+        """(effective supply, count) pairs for static levels.
+
+        Counts every level at once over a (levels x samples) grid;
+        each row equals :meth:`count` at that level.
+        """
+        levels = np.asarray(v_grid, dtype=float)
+        n = len(_sample_times(window, _DT))
+        counts = self._counts(np.repeat(levels[:, None], n, axis=1), _DT)
+        return [(float(v), int(c)) for v, c in zip(levels, counts)]
 
     def estimate_supply(self, count: int, window: float, *,
                         v_lo: float = 0.5, v_hi: float = 1.5,

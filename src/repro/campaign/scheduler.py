@@ -125,10 +125,12 @@ def _execute_stage_once(ctx: StageContext, stage: StageSpec, key: str,
     Identical bookkeeping in every mode: stage-cache read (unless the
     run is a chaos drill), execute, stage-cache write, wall/CPU/cache
     deltas into volatile.  Checks are *not* evaluated here — they need
-    the dependency payloads, which the caller owns.
+    the dependency payloads, which the caller owns.  CPU time is the
+    calling thread's own, so under ``threads`` a stage is not billed
+    for its siblings' work.
     """
     deterministic = stage.kind not in NONDETERMINISTIC_KINDS
-    wall0, cpu0 = time.perf_counter(), time.process_time()
+    wall0, cpu0 = time.perf_counter(), time.thread_time()
     stats0 = ctx.cache.stats()
     resumed = False
     error: str | None = None
@@ -150,7 +152,7 @@ def _execute_stage_once(ctx: StageContext, stage: StageSpec, key: str,
                     stage_store.put(key, payload)
 
     wall = time.perf_counter() - wall0
-    cpu = time.process_time() - cpu0
+    cpu = time.thread_time() - cpu0
     stats1 = ctx.cache.stats()
     volatile = dict(volatile)
     volatile["task_cache_delta"] = {

@@ -10,7 +10,12 @@ from repro.baselines.ring_oscillator import (
     RingOscillatorSensor,
 )
 from repro.errors import ConfigurationError
-from repro.sim.waveform import ConstantWaveform, StepWaveform
+from repro.sim.waveform import (
+    ConstantWaveform,
+    DampedSineWaveform,
+    PiecewiseLinearWaveform,
+    StepWaveform,
+)
 from repro.units import NS
 
 
@@ -76,6 +81,110 @@ def test_ro_validation(design):
         RingOscillatorSensor(design.tech, n_stages=4)  # even
     with pytest.raises(ConfigurationError):
         RingOscillatorSensor(design.tech, n_stages=1)
+
+
+def test_ro_count_validation(ro):
+    with pytest.raises(ConfigurationError):
+        ro.count(0.0)
+    with pytest.raises(ConfigurationError):
+        ro.count(100 * NS, dt=0.0)
+    with pytest.raises(ConfigurationError):
+        ro.calibration_curve([1.0], -1 * NS)
+
+
+# -- ring oscillator: exactness against the per-sample scalar loop -------------
+
+def _oracle_frequency(ro, v_eff):
+    """The scalar frequency law: ``AlphaPowerModel.delay`` per call."""
+    p = 2.0 * ro.n_stages * ro.inv.model.delay(v_eff, ro.inv.pin("A").cap)
+    if np.isinf(p):
+        return 0.0
+    return 1.0 / p
+
+
+def _oracle_count(ro, window, *, vdd_n=1.0, gnd_n=0.0, dt=10e-12):
+    """The per-sample scalar count loop ``count`` must equal exactly."""
+    vdd = (ConstantWaveform(vdd_n) if isinstance(vdd_n, (int, float))
+           else vdd_n)
+    gnd = (ConstantWaveform(gnd_n) if isinstance(gnd_n, (int, float))
+           else gnd_n)
+    ts = np.arange(0.0, window, dt)
+    freqs = np.array([_oracle_frequency(ro, vdd(t) - gnd(t)) for t in ts])
+    return int(np.floor(np.trapezoid(freqs, dx=dt)))
+
+
+#: Static levels from well below threshold (0 Hz lanes) up to 1.6 V.
+STATIC_LEVELS = [round(v, 2) for v in np.arange(0.0, 1.61, 0.05)]
+
+
+def test_ro_frequency_law_matches_scalar_model(ro):
+    load = ro.inv.pin("A").cap
+    for v in STATIC_LEVELS:
+        d = ro.inv.model.delay(v, load)
+        assert ro.stage_delay(v) == d
+        assert ro.period(v) == 2.0 * ro.n_stages * d
+        assert ro.frequency(v) == _oracle_frequency(ro, v)
+    assert ro.frequency(0.0) == 0.0
+
+
+def test_ro_count_static_levels_match_oracle(ro):
+    counts = [ro.count(20 * NS, vdd_n=v) for v in STATIC_LEVELS]
+    assert counts == [_oracle_count(ro, 20 * NS, vdd_n=v)
+                      for v in STATIC_LEVELS]
+    assert counts[0] == 0 and counts[-1] > 0
+
+
+@pytest.mark.parametrize("vdd_n, gnd_n", [(0.95, 0.0), (1.0, 0.05), (1, 0)])
+def test_ro_count_a2_rails_match_oracle(ro, vdd_n, gnd_n):
+    assert ro.count(200 * NS, vdd_n=vdd_n, gnd_n=gnd_n) \
+        == _oracle_count(ro, 200 * NS, vdd_n=vdd_n, gnd_n=gnd_n)
+
+
+@pytest.mark.parametrize("rails", [
+    {"vdd_n": StepWaveform(1.0, 0.9, 100 * NS)},
+    # Dips through threshold mid-window: 0 Hz lanes inside one count.
+    {"vdd_n": PiecewiseLinearWaveform(
+        [0.0, 50 * NS, 80 * NS, 120 * NS], [1.0, 0.1, 0.1, 1.05])},
+    {"vdd_n": 1.0, "gnd_n": DampedSineWaveform(
+        0.0, 0.08, 50e6, 60 * NS, t0=20 * NS)},
+    {"vdd_n": DampedSineWaveform(1.0, -0.1, 80e6, 40 * NS),
+     "gnd_n": StepWaveform(0.0, 0.03, 70 * NS)},
+])
+def test_ro_count_waveform_rails_match_oracle(ro, rails):
+    assert ro.count(200 * NS, **rails) == _oracle_count(ro, 200 * NS,
+                                                        **rails)
+
+
+def test_ro_count_uneven_window_matches_oracle(ro):
+    window, dt = 10.005 * NS, 7e-12  # window / dt is not an integer
+    rail = StepWaveform(1.02, 0.93, 4 * NS)
+    assert ro.count(window, vdd_n=rail, dt=dt) \
+        == _oracle_count(ro, window, vdd_n=rail, dt=dt)
+    assert ro.count(window, vdd_n=0.97, dt=dt) \
+        == _oracle_count(ro, window, vdd_n=0.97, dt=dt)
+
+
+def test_ro_a2_counts_and_estimates_exact(ro):
+    """The A2 report's RO columns, as the per-sample loop produced
+    them: counts and bisection estimates (dyadic floats) must not
+    move by an ulp."""
+    scenarios = [
+        ({"vdd_n": 1.0, "gnd_n": 0.0}, 224, 0.999725341796875),
+        ({"vdd_n": 0.95, "gnd_n": 0.0}, 217, 0.946014404296875),
+        ({"vdd_n": 1.0, "gnd_n": 0.05}, 217, 0.946014404296875),
+        ({"vdd_n": StepWaveform(1.0, 0.9, 100 * NS)}, 217,
+         0.946014404296875),
+    ]
+    for rails, count, estimate in scenarios:
+        c = ro.count(200 * NS, **rails)
+        assert c == count
+        assert ro.estimate_supply(c, 200 * NS) == estimate
+
+
+def test_ro_calibration_curve_equals_per_level_counts(ro):
+    curve = ro.calibration_curve(np.array(STATIC_LEVELS), 20 * NS)
+    assert curve == [(v, ro.count(20 * NS, vdd_n=v))
+                     for v in STATIC_LEVELS]
 
 
 def test_ro_structural_ring_oscillates(design):

@@ -198,6 +198,39 @@ def test_resume_across_execution_modes(tmp_path):
         assert second.record(sid).payload == first.record(sid).payload
 
 
+def test_thread_stage_cpu_excludes_siblings(tmp_path):
+    """Under threads a stage is charged its own CPU time only: one that
+    sleeps while its sibling burns CPU reads near zero."""
+    import time
+
+    from repro.campaign.scheduler import execute_outcomes
+    from repro.campaign.stages import StageContext
+    from repro.runtime.cache import ResultCache
+
+    def run_one(ctx, stage):
+        if stage.id == "sleeper":
+            time.sleep(0.4)
+        else:
+            end = time.perf_counter() + 0.4
+            while time.perf_counter() < end:
+                pass
+        return {"stage": stage.id}, {}
+
+    spec = make_spec([synth("sleeper"), synth("burner")])
+    ctx = StageContext(spec=spec, design=None, tech=None, backend=None,
+                       cache=ResultCache(tmp_path / "tasks"),
+                       out_dir=tmp_path)
+    outcomes = execute_outcomes(
+        spec, ctx, stage_store=ResultCache(tmp_path / "stages"),
+        fingerprint="cpu-split", execution="threads", stage_workers=2,
+        share_ctx=False, run_one=run_one,
+    )
+    sleeper, burner = outcomes["sleeper"], outcomes["burner"]
+    assert sleeper.wall_s >= 0.4
+    assert sleeper.cpu_s < 0.05
+    assert burner.cpu_s > 0.1
+
+
 # -- the property test ----------------------------------------------------
 
 
