@@ -1166,7 +1166,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         finally:
             wall = _time.perf_counter() - t0
             PROFILER.disable()
-            print(f"\n--profile ({wall * 1e3:.1f}ms wall)")
+            print("\n--profile")
             print(PROFILER.report(total=wall))
         return code
     return args.func(args)

@@ -63,19 +63,32 @@ class SensorArray:
             SensorBit(design, b, rail)
             for b in range(1, design.n_bits + 1)
         )
+        # code -> solved ladder.  The design and corner are frozen, so a
+        # code's rungs never change for the lifetime of the array; two
+        # threads racing on a first use store equal tuples.
+        self._ladders: dict[int, tuple[float, ...]] = {}
 
     @property
     def n_bits(self) -> int:
         return self.design.n_bits
 
     def supply_thresholds(self, code: int) -> tuple[float, ...]:
-        """Per-bit thresholds in *effective supply* terms, ascending."""
-        from repro.kernels import threshold_grid
+        """Per-bit thresholds in *effective supply* terms, ascending.
 
-        return tuple(
-            float(v)
-            for v in threshold_grid(self.design, (code,), self.tech)[:, 0]
-        )
+        Like a flash converter's reference ladder, the rungs are fixed
+        by the design and the code: each code is solved on first use
+        and the stored tuple is returned after that.
+        """
+        ladder = self._ladders.get(code)
+        if ladder is None:
+            from repro.kernels import threshold_grid
+
+            ladder = tuple(
+                float(v)
+                for v in threshold_grid(self.design, (code,), self.tech)[:, 0]
+            )
+            self._ladders[code] = ladder
+        return ladder
 
     def rail_thresholds(self, code: int) -> tuple[float, ...]:
         """Per-bit thresholds in measured-rail terms.
@@ -94,9 +107,17 @@ class SensorArray:
 
     def measure(self, code: int, *, vdd_n: float | None = None,
                 gnd_n: float | None = None) -> ArrayMeasure:
-        """Analytic measurement at a static rail level."""
+        """Analytic measurement at a static rail level.
+
+        Every bit shares one sensing window, inverter and flip-flop;
+        they are built once here and handed to each bit.
+        """
+        design, tech = self.design, self.tech
+        window = design.effective_window(code, tech)
+        inv = design.sensor_inverter(tech)
+        ff = design.sense_flipflop(tech)
         measures = tuple(
-            b.measure(code, vdd_n=vdd_n, gnd_n=gnd_n, tech=self.tech)
+            b._measure_with(window, inv, ff, vdd_n=vdd_n, gnd_n=gnd_n)
             for b in self.bits
         )
         word = ThermometerWord.from_samples(

@@ -140,15 +140,12 @@ class DegradedArray:
     def supply_thresholds(self, code: int) -> tuple[float, ...]:
         """Surviving rungs of the effective-supply ladder, ascending.
 
-        Solved through the same kernel as the full array; solver batch
-        invariance keeps the surviving rungs bit-identical to the
-        matching rungs of :meth:`SensorArray.supply_thresholds`.
+        A slice of the full array's once-solved ladder
+        (:meth:`SensorArray.supply_thresholds`); solver batch invariance
+        makes it bit-identical to solving the surviving bits alone.
         """
-        from repro.kernels import threshold_grid
-
-        grid = threshold_grid(self.design, (code,), self.tech,
-                              bits=self.surviving_bits)
-        return tuple(float(v) for v in grid[:, 0])
+        ladder = self.array.supply_thresholds(code)
+        return tuple(ladder[b - 1] for b in self.surviving_bits)
 
     def reduce_word(self, word: ThermometerWord) -> ThermometerWord:
         """Project a full-array word onto the surviving stages.

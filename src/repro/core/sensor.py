@@ -21,6 +21,8 @@ import enum
 from dataclasses import dataclass
 
 from repro.cells.base import HIGH, LOW, LogicValue, UNKNOWN
+from repro.cells.combinational import Inverter
+from repro.cells.sequential import DFlipFlop
 from repro.core import paperdata
 from repro.core.calibration import SensorDesign
 from repro.devices.technology import Technology
@@ -138,8 +140,18 @@ class SensorBit:
                  gnd_n: float | None = None,
                  tech: Technology | None = None) -> float:
         """Inverter P→DS delay at the given rail conditions, seconds."""
-        inv = self.design.sensor_inverter(tech)
-        load = self.design.ds_external_load(self.bit, tech)
+        return self._delay_with(
+            self.design.sensor_inverter(tech),
+            self.design.sense_flipflop(tech),
+            vdd_n=vdd_n, gnd_n=gnd_n,
+        )
+
+    def _delay_with(self, inv: Inverter, ff: DFlipFlop, *,
+                    vdd_n: float | None,
+                    gnd_n: float | None) -> float:
+        """P→DS delay of ``inv`` driving this bit's trim cap plus the
+        D pin of ``ff`` (:meth:`SensorDesign.ds_external_load`)."""
+        load = self.design.load_caps[self.bit - 1] + ff.pin("D").cap
         return inv.model.delay(
             self.effective_supply(vdd_n=vdd_n, gnd_n=gnd_n), load
         )
@@ -153,10 +165,20 @@ class SensorBit:
         window; the captured value still flips exactly at margin zero,
         matching the event-driven path.
         """
-        window = self.design.effective_window(code, tech)
-        d = self.ds_delay(code, vdd_n=vdd_n, gnd_n=gnd_n, tech=tech)
+        return self._measure_with(
+            self.design.effective_window(code, tech),
+            self.design.sensor_inverter(tech),
+            self.design.sense_flipflop(tech),
+            vdd_n=vdd_n, gnd_n=gnd_n,
+        )
+
+    def _measure_with(self, window: float, inv: Inverter, ff: DFlipFlop,
+                      *, vdd_n: float | None,
+                      gnd_n: float | None) -> BitMeasure:
+        """:meth:`measure` against a prebuilt window, inverter and FF —
+        the cells a whole array shares (:meth:`SensorArray.measure`)."""
+        d = self._delay_with(inv, ff, vdd_n=vdd_n, gnd_n=gnd_n)
         margin = window - d
-        ff = self.design.sense_flipflop(tech)
         passed = margin > 0.0
         if abs(margin) < ff.window:
             outcome = ("metastable_capture" if passed

@@ -86,31 +86,48 @@ class PhaseProfiler:
     def report(self, *, total: float | None = None) -> str:
         """Human-readable breakdown, widest phase first.
 
+        Phases may nest (``kernel.solve`` inside ``campaign.stage.*``)
+        and overlap (concurrent stage threads), so summed phase time is
+        not wall time: the report prints the two as separately labelled
+        quantities.
+
         Args:
-            total: Overall wall time to compute an "other" residual and
-                percentages against; omitted, percentages are of the
-                summed phase time.
+            total: Overall wall time.  When the summed phase time fits
+                inside it, shares are of wall time and an ``(other)``
+                line carries the unaccounted residual.  When the summed
+                time exceeds it, the report says the phases nest or
+                overlap, shares are of summed phase time and no
+                residual is printed.  Omitted, shares are of summed
+                phase time.
         """
         if not self.phases:
             return "profile: no instrumented phases ran"
         items = sorted(self.phases.items(),
                        key=lambda kv: kv[1].seconds, reverse=True)
-        denom = total if total and total > 0 \
-            else sum(s.seconds for _, s in items) or 1.0
-        width = max(len(name) for name, _ in items)
+        summed = sum(s.seconds for _, s in items)
+        wall = total if total is not None and total > 0 else None
+        fits = wall is not None and summed <= wall
+        denom = wall if fits else summed or 1.0
+        rows = [(name, f"{stat.calls:>5}", stat.seconds)
+                for name, stat in items]
+        if fits:
+            rows.append(("(other)", " " * 5, wall - summed))
+        width = max(len(name) for name, _, _ in rows)
         lines = ["phase".ljust(width) + "  calls      time     share"]
-        for name, stat in items:
-            lines.append(
-                f"{name.ljust(width)}  {stat.calls:>5}  "
-                f"{stat.seconds * 1e3:>7.1f}ms  {stat.seconds / denom:>7.1%}"
-            )
-        if total is not None and total > 0:
-            accounted = sum(s.seconds for _, s in items)
-            other = max(total - accounted, 0.0)
-            lines.append(
-                f"{'(other)'.ljust(width)}  {'':>5}  "
-                f"{other * 1e3:>7.1f}ms  {other / denom:>7.1%}"
-            )
+        lines += [f"{name.ljust(width)}  {calls}  {seconds * 1e3:>7.1f}ms  "
+                  f"{seconds / denom:>7.1%}"
+                  for name, calls, seconds in rows]
+        lines.append(f"summed phase time: {summed * 1e3:.1f}ms")
+        if wall is not None:
+            lines.append(f"wall time: {wall * 1e3:.1f}ms")
+        if fits:
+            lines.append("shares are of wall time")
+        elif wall is not None:
+            lines.append("summed phase time exceeds wall time: phases nest "
+                         "or overlap, so shares are of summed phase time "
+                         "and no residual is shown")
+        else:
+            lines.append("shares are of summed phase time")
         return "\n".join(lines)
 
 

@@ -147,3 +147,90 @@ def test_array_measure_reports_bit_details(arr):
     assert [b.passed for b in m.bit_measures] == [
         True, True, True, True, True, False, False
     ]
+
+
+# -- shared cells and the once-solved ladder ---------------------------------
+
+@pytest.fixture(params=["nominal", "SS"])
+def tech_case(request, design):
+    from repro.devices.corners import corner_by_name
+
+    if request.param == "nominal":
+        return None
+    return corner_by_name(request.param).apply(design.tech)
+
+
+@pytest.mark.parametrize("rail", [SenseRail.VDD, SenseRail.GND])
+def test_array_measure_equals_per_bit_measure(design, tech_case, rail):
+    """One set of shared cells per array measure must give every bit
+    exactly what its own ``SensorBit.measure`` gives, metastable
+    outcomes included (levels sit on each rung +-1 uV)."""
+    arr = SensorArray(design, rail, tech_case)
+    nominal = design.tech.vdd_nominal
+    outcomes = set()
+    for code in (2, 3, 7):
+        for rung in arr.supply_thresholds(code):
+            for v in (rung - 1e-6, rung, rung + 1e-6):
+                kwargs = ({"vdd_n": v} if rail is SenseRail.VDD
+                          else {"gnd_n": nominal - v})
+                got = arr.measure(code, **kwargs).bit_measures
+                want = tuple(b.measure(code, tech=arr.tech, **kwargs)
+                             for b in arr.bits)
+                assert got == want
+                outcomes.update(m.outcome for m in got)
+    assert {"metastable_capture", "metastable_miss",
+            "clean_capture", "clean_miss"} <= outcomes
+
+
+def test_array_measure_rejects_bad_code(arr):
+    with pytest.raises(ConfigurationError):
+        arr.measure(8, vdd_n=1.0)
+
+
+@pytest.fixture()
+def solve_counter(monkeypatch):
+    import repro.kernels
+
+    calls = []
+    solve = repro.kernels.threshold_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("codes"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(repro.kernels, "threshold_grid", counted)
+    return calls
+
+
+def test_each_code_ladder_solved_once(design, solve_counter):
+    import numpy as np
+
+    arr = SensorArray(design)
+    for code in (3, 2, 7):
+        for v in np.linspace(0.80, 1.25, 50):
+            word = arr.measure(code, vdd_n=float(v)).word
+            assert arr.decode(word, code).contains(float(v))
+        arr.measurable_range(code)
+    assert len(solve_counter) == 3
+    first = arr.supply_thresholds(3)
+    assert arr.supply_thresholds(3) == first
+    assert arr.supply_thresholds(3) is first
+    assert len(solve_counter) == 3
+
+
+def test_memoized_ladder_matches_fresh_solve(design, tech_case):
+    from repro.kernels import threshold_grid
+
+    arr = SensorArray(design, tech=tech_case)
+    for code in range(len(design.delay_codes)):
+        fresh = tuple(float(v) for v in
+                      threshold_grid(design, (code,), tech_case)[:, 0])
+        assert arr.supply_thresholds(code) == fresh
+        assert arr.supply_thresholds(code) == fresh
+
+
+def test_bad_code_is_never_stored(arr, solve_counter):
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            arr.supply_thresholds(8)
+    assert len(solve_counter) == 2

@@ -127,6 +127,43 @@ def test_analytic_measure_matches_decode_of_full_word(design):
     assert via_measure.decoded.lo == via_decode.decoded.lo
 
 
+@pytest.mark.parametrize("corner", [None, "SS"])
+@pytest.mark.parametrize("mask", [(), (2, 4, 6), (1,), (7,)])
+def test_masked_ladder_equals_subset_solve(design, mask, corner):
+    """Slicing the full array's once-solved ladder must equal solving
+    the surviving bits alone (solver batch invariance)."""
+    from repro.devices.corners import corner_by_name
+    from repro.kernels import threshold_grid
+
+    tech = None if corner is None \
+        else corner_by_name(corner).apply(design.tech)
+    deg = DegradedArray(design, masked_bits=mask, tech=tech)
+    for code in range(8):
+        subset = threshold_grid(design, (code,), tech,
+                                bits=deg.surviving_bits)[:, 0]
+        assert deg.supply_thresholds(code) == tuple(float(v) for v in subset)
+
+
+def test_repeated_degraded_decodes_solve_each_code_once(design,
+                                                        monkeypatch):
+    import repro.kernels
+
+    calls = []
+    solve = repro.kernels.threshold_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(repro.kernels, "threshold_grid", counted)
+    deg = DegradedArray(design, masked_bits=(3,))
+    word = ThermometerWord((1, 1, 1, 1, 0, 0, 0))
+    first = deg.decode(word, 3)
+    for _ in range(20):
+        assert deg.decode(word, 3) == first
+    assert len(calls) == 1
+
+
 # -- screening into degraded mode --------------------------------------------
 
 def test_screen_suspects_empty_for_healthy_array(design):
