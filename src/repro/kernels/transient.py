@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import lfilter, lfiltic
 
 from repro.errors import ConfigurationError
 from repro.runtime.profiling import phase
@@ -179,6 +178,10 @@ class TransientStepper:
 
         first_global = k0 + pos  # global index of next state to emit
         if pos < m:
+            # Imported here, not at module level: scipy.signal (and the
+            # scipy.stats it loads) would dominate every process's start.
+            from scipy.signal import lfilter, lfiltic
+
             # States x_k for k >= 2 via the second-order recurrence:
             # x[k] = tr(A_d) x[k-1] - det(A_d) x[k-2] + f[k-2],
             # f[j] = g[j+1] + (A_d - tr(A_d) I) g[j].

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
@@ -112,12 +111,6 @@ class IRDropGrid:
                 f"tile {(row, col)} outside {self.rows}x{self.cols} grid"
             )
         return row * self.cols + col
-
-    def graph(self) -> nx.Graph:
-        """The mesh as a networkx graph (for topology checks/plots)."""
-        g = nx.grid_2d_graph(self.rows, self.cols)
-        nx.set_edge_attributes(g, self.r_segment, "resistance")
-        return g
 
     def solve(self, tile_currents: np.ndarray) -> np.ndarray:
         """Nodal solve: per-tile rail voltage for per-tile load currents.

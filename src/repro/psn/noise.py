@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
 from repro.sim.waveform import (
@@ -79,6 +78,10 @@ def band_limited_noise(*, t_end: float, dt: float, rms: float,
     n = int(round(t_end / dt)) + 1
     rng = np.random.default_rng(seed)
     white = rng.normal(0.0, 1.0, size=n)
+    # Imported here so that only a process that filters pays for
+    # scipy.signal (see repro.kernels.transient).
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.butter(4, bandwidth / nyquist)
     shaped = sp_signal.lfilter(b, a, white)
     std = float(np.std(shaped))

@@ -91,13 +91,6 @@ def test_tile_index_bounds(grid):
         grid.tile_index(6, 0)
 
 
-def test_graph_topology(grid):
-    g = grid.graph()
-    assert g.number_of_nodes() == 36
-    # Interior grid edges: r*(c-1) + (r-1)*c
-    assert g.number_of_edges() == 6 * 5 + 5 * 6
-
-
 def test_hotspot_currents_total(grid):
     c = grid.hotspot_currents(total_current=7.0, hotspot=(2, 2),
                               hotspot_share=0.4)
