@@ -16,7 +16,10 @@ contracts, per aggregator:
   data (decoded rung midpoints take at most ``n_bits + 1`` distinct
   values) the guarantee telemetry relies on — and the test suite
   enforces — is one quantization step: ``|P² - np.quantile| <= `` the
-  widest interior decode interval of the ladder.
+  widest interior decode interval of the ladder.  One block update
+  is a single pass that gives the same markers, bit for bit, as
+  feeding the block one sample at a time, so any chunking of a stream
+  yields the same estimate.
 * :class:`RungHistogram` — exact per-rung occupancy counts (plus
   bubble tally); counts are the sufficient statistic for any later
   exact quantile of the *rung* distribution.
@@ -124,61 +127,112 @@ class P2Quantile:
         self.count = 0
 
     def update(self, x: float) -> None:
-        self.count += 1
-        h = self._heights
-        if len(h) < 5:
-            h.append(float(x))
-            h.sort()
-            return
-        pos = self._pos
-        # Locate the cell containing x and clamp the extreme markers.
-        if x < h[0]:
-            h[0] = float(x)
-            k = 0
-        elif x >= h[4]:
-            h[4] = float(x)
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired
-        # positions, parabolic (P²) when possible, linear otherwise.
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                cand = self._parabolic(i, step)
-                if not h[i - 1] < cand < h[i + 1]:
-                    cand = self._linear(i, step)
-                h[i] = cand
-                pos[i] += step
-            # else: marker stays put this sample.
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
+        """One sample; the same pass as :meth:`update_block`."""
+        self.update_block((x,))
 
     def update_block(self, xs: np.ndarray) -> None:
-        """Sequential block update (P² is inherently per-sample)."""
-        update = self.update
-        for x in np.asarray(xs, dtype=float).ravel().tolist():
-            update(x)
+        """Fold a block of samples in one pass.
+
+        Every sample takes the same steps, in the same floating-point
+        operation order, as the textbook per-sample update, so any
+        split of a stream into blocks gives bit-identical markers.
+        Per sample: locate the cell holding ``x`` (clamping the end
+        markers), shift the positions above it, advance the desired
+        positions, then move interior markers 1, 2, 3 in turn one
+        step toward their desired positions, parabolically (P²) when
+        that stays between the neighbours, linearly otherwise.
+        """
+        xs = np.asarray(xs, dtype=float).ravel().tolist()
+        n = len(xs)
+        if n == 0:
+            return
+        self.count += n
+        h = self._heights
+        start = min(5 - len(h), n)
+        if start > 0:
+            # Warm-up: the first five samples are the markers, sorted.
+            h.extend(xs[:start])
+            h.sort()
+            if len(h) < 5:
+                return
+        h0, h1, h2, h3, h4 = h
+        p0, p1, p2, p3, p4 = self._pos
+        d1, d2, d3 = self._desired[1:4]
+        _, i1, i2, i3, _ = self._increments
+        for x in xs[start:]:
+            if x < h0:
+                h0 = x
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif not x >= h1:
+                p1 += 1.0
+                p2 += 1.0
+                p3 += 1.0
+            elif not x >= h2:
+                p2 += 1.0
+                p3 += 1.0
+            elif not x >= h3:
+                p3 += 1.0
+            p4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # Marker 1.
+            d = d1 - p1
+            if (d >= 1.0 and p2 - p1 > 1.0) or \
+               (d <= -1.0 and p0 - p1 < -1.0):
+                s = 1.0 if d >= 1.0 else -1.0
+                c = h1 + s / (p2 - p0) * (
+                    (p1 - p0 + s) * (h2 - h1) / (p2 - p1)
+                    + (p2 - p1 - s) * (h1 - h0) / (p1 - p0)
+                )
+                if not h0 < c < h2:
+                    if s > 0.0:
+                        c = h1 + s * (h2 - h1) / (p2 - p1)
+                    else:
+                        c = h1 + s * (h0 - h1) / (p0 - p1)
+                h1 = c
+                p1 += s
+            # Marker 2 (sees marker 1's new height and position).
+            d = d2 - p2
+            if (d >= 1.0 and p3 - p2 > 1.0) or \
+               (d <= -1.0 and p1 - p2 < -1.0):
+                s = 1.0 if d >= 1.0 else -1.0
+                c = h2 + s / (p3 - p1) * (
+                    (p2 - p1 + s) * (h3 - h2) / (p3 - p2)
+                    + (p3 - p2 - s) * (h2 - h1) / (p2 - p1)
+                )
+                if not h1 < c < h3:
+                    if s > 0.0:
+                        c = h2 + s * (h3 - h2) / (p3 - p2)
+                    else:
+                        c = h2 + s * (h1 - h2) / (p1 - p2)
+                h2 = c
+                p2 += s
+            # Marker 3.
+            d = d3 - p3
+            if (d >= 1.0 and p4 - p3 > 1.0) or \
+               (d <= -1.0 and p2 - p3 < -1.0):
+                s = 1.0 if d >= 1.0 else -1.0
+                c = h3 + s / (p4 - p2) * (
+                    (p3 - p2 + s) * (h4 - h3) / (p4 - p3)
+                    + (p4 - p3 - s) * (h3 - h2) / (p3 - p2)
+                )
+                if not h2 < c < h4:
+                    if s > 0.0:
+                        c = h3 + s * (h4 - h3) / (p4 - p3)
+                    else:
+                        c = h3 + s * (h2 - h3) / (p2 - p3)
+                h3 = c
+                p3 += s
+        h[:] = (h0, h1, h2, h3, h4)
+        self._pos = [p0, p1, p2, p3, p4]
+        # Desired 0 and 4 step by the exact constants 0 and 1, so one
+        # step per block equals the per-sample sum.
+        self._desired[1:] = [d1, d2, d3, self._desired[4] + (n - start)]
 
     @property
     def value(self) -> float:

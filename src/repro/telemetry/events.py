@@ -148,12 +148,24 @@ class DroopDetector:
 
     def update_block(self, times: np.ndarray, ks: np.ndarray,
                      mids: np.ndarray,
-                     words: np.ndarray | None = None) -> None:
+                     words: np.ndarray | None = None, *,
+                     entering: bool | None = None) -> None:
         """Feed a decoded chunk (times, ones counts, midpoints).
 
         ``words`` is an optional ``(n, n_bits)`` 0/1 array (bit 1
         first); only the deepest sample's word is ever stringified.
+        ``entering`` is whether any ``ks <= enter_rung``; a caller
+        that already tested that passes it, else it is computed here.
+        On a quiet chunk (no episode open and nothing at or below the
+        entry rung) the per-sample loop would only count down the
+        hold-off, so that is done in one step instead.
         """
+        if not self._in_episode:
+            if entering is None:
+                entering = bool(np.any(np.asarray(ks) <= self.enter_rung))
+            if not entering:
+                self._holdoff = max(0, self._holdoff - len(ks))
+                return
         t_list = np.asarray(times, dtype=float).tolist()
         k_list = np.asarray(ks, dtype=np.int64).tolist()
         m_list = np.asarray(mids, dtype=float).tolist()

@@ -175,6 +175,9 @@ class TelemetryPipeline:
         self.ewma_alpha = float(ewma_alpha)
         self.alert_depth_v = alert_depth_v
         self.on_decoded = on_decoded
+        # Build one site's aggregators now so a bad per-site setting
+        # raises here rather than at the first ingest.
+        self._aggregators("")
         self._sites: dict[str, _SiteState] = {}
         self._alerts: dict[str, AlertRule] = {}
         self.add_alert("sample-loss",
@@ -202,20 +205,27 @@ class TelemetryPipeline:
             site=site,
             kind=kind,
             ring=RingBuffer(self.capacity, width, policy=self.policy),
-            stats=RunningStats(),
-            quantiles={q: P2Quantile(q) for q in self.quantile_qs},
-            histogram=RungHistogram(self.design.n_bits),
-            baseline=EwmaBaseline(self.ewma_alpha),
-            detector=DroopDetector(
+            **self._aggregators(site),
+        )
+        self._sites[site] = state
+        return state
+
+    def _aggregators(self, site: str) -> dict[str, Any]:
+        """One site's fresh online state; their constructors validate
+        the per-site settings."""
+        return {
+            "stats": RunningStats(),
+            "quantiles": {q: P2Quantile(q) for q in self.quantile_qs},
+            "histogram": RungHistogram(self.design.n_bits),
+            "baseline": EwmaBaseline(self.ewma_alpha),
+            "detector": DroopDetector(
                 site, enter_rung=self.enter_rung,
                 exit_rung=self.exit_rung,
                 reference_v=self.reference_v,
                 min_duration=self.min_duration,
                 refractory=self.refractory,
             ),
-        )
-        self._sites[site] = state
-        return state
+        }
 
     @property
     def sites(self) -> tuple[str, ...]:
@@ -282,8 +292,8 @@ class TelemetryPipeline:
                 ks, lo, hi, mids = fused_decode(self.ladder, volts)
                 bubbles = np.zeros(ks.shape, dtype=bool)
                 words = None
-                if state.detector.in_episode \
-                        or bool(np.any(ks <= self.enter_rung)):
+                entering = bool(np.any(ks <= self.enter_rung))
+                if state.detector.in_episode or entering:
                     words = (
                         np.arange(self.design.n_bits)[None, :]
                         < ks[:, None]
@@ -291,6 +301,7 @@ class TelemetryPipeline:
             else:
                 words = payload.astype(np.uint8)
                 ks = ones_count_grid(words)
+                entering = None
                 bubbles = bubble_grid(words)
                 lo, hi = decode_bounds(self.ladder, ks)
                 mids = midpoint_grid(lo, hi)
@@ -300,7 +311,8 @@ class TelemetryPipeline:
                 est.update_block(mids)
             state.histogram.update_block(ks, bubbles)
             state.baseline.update_block(mids)
-            state.detector.update_block(times, ks, mids, words)
+            state.detector.update_block(times, ks, mids, words,
+                                        entering=entering)
             state.decoded += times.size
         if self.on_decoded is not None:
             self.on_decoded(state.site, times, ks, mids)

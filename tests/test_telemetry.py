@@ -1,8 +1,9 @@
 """Unit tests for the telemetry building blocks.
 
 Ring-buffer policies, online aggregators against their exact numpy
-references, and the hysteresis droop detector on crafted rung
-sequences.  The pipeline-level integration (bounded memory, chunked
+references, the P² block pass against the per-sample reference update
+kept here, and the hysteresis droop detector on crafted rung
+sequences and under every chunking.  The pipeline-level integration (bounded memory, chunked
 vs. batch bit-identity, end-to-end droop recovery) lives in
 ``test_telemetry_pipeline.py``.
 """
@@ -192,6 +193,160 @@ def test_p2_quantile_quantized_within_one_rung():
         assert abs(est.value - float(np.quantile(xs, q))) <= bound
 
 
+class _ReferenceP2:
+    """The textbook per-sample P² update: the oracle ``update_block``
+    must match field for field (heights, positions, desired, count)."""
+
+    def __init__(self, q):
+        self.q = float(q)
+        self._heights = []
+        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self._desired = [1.0, 1.0 + 2 * q, 1.0 + 4 * q, 3.0 + 2 * q, 5.0]
+        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        self.count = 0
+
+    def update(self, x):
+        self.count += 1
+        h = self._heights
+        if len(h) < 5:
+            h.append(float(x))
+            h.sort()
+            return
+        pos = self._pos
+        # Locate the cell containing x and clamp the extreme markers.
+        if x < h[0]:
+            h[0] = float(x)
+            k = 0
+        elif x >= h[4]:
+            h[4] = float(x)
+            k = 3
+        else:
+            k = 0
+            while k < 3 and x >= h[k + 1]:
+                k += 1
+        for i in range(k + 1, 5):
+            pos[i] += 1.0
+        for i in range(5):
+            self._desired[i] += self._increments[i]
+        # Adjust the three interior markers toward their desired
+        # positions, parabolic (P²) when possible, linear otherwise.
+        for i in (1, 2, 3):
+            d = self._desired[i] - pos[i]
+            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or \
+               (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
+                step = 1.0 if d >= 1.0 else -1.0
+                cand = self._parabolic(i, step)
+                if not h[i - 1] < cand < h[i + 1]:
+                    cand = self._linear(i, step)
+                h[i] = cand
+                pos[i] += step
+
+    def _parabolic(self, i, d):
+        h, n = self._heights, self._pos
+        return h[i] + d / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i])
+            / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1])
+            / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i, d):
+        h, n = self._heights, self._pos
+        j = i + int(d)
+        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
+
+
+def _p2_state(est):
+    return (list(est._heights), list(est._pos), list(est._desired),
+            est.count)
+
+
+def _tie_stream(q, n, seed):
+    """Every post-warm-up sample equals one of the current markers."""
+    rng = np.random.default_rng(seed)
+    ref = _ReferenceP2(q)
+    xs = [0.9, 1.1, 1.0, 0.95, 1.05]
+    for x in xs:
+        ref.update(x)
+    while len(xs) < n:
+        x = ref._heights[int(rng.integers(5))]
+        ref.update(x)
+        xs.append(x)
+    return np.array(xs)
+
+
+def _decoded_midpoints(n):
+    from repro.core.calibration import paper_design
+    from repro.kernels import fused_decode, threshold_grid
+    from repro.telemetry import synthetic_droop_trace
+
+    design = paper_design()
+    ladder = np.asarray(threshold_grid(design, (3,))[:, 0], dtype=float)
+    _, volts, _ = synthetic_droop_trace(
+        n_samples=n, dt=1e-9, n_droops=2, depth=0.15,
+        noise_rms=5e-3, seed=7,
+    )
+    return fused_decode(ladder, volts)[3]
+
+
+def _p2_stream(kind, q, n=3000):
+    rng = np.random.default_rng(11)
+    if kind == "gaussian":
+        # Centred on zero, so an ulp in the parabolic step survives
+        # the add to the marker height.
+        return rng.normal(0.0, 1.0, size=n)
+    if kind == "quantised":
+        levels = np.array([0.83, 0.91, 0.945, 0.976, 1.006, 1.037, 1.053])
+        return levels[rng.integers(0, levels.size, size=n)]
+    if kind == "decoded":
+        return _decoded_midpoints(n)
+    if kind == "constant":
+        return np.full(n, 0.976)
+    if kind == "ascending":
+        return np.sort(rng.normal(0.0, 1.0, size=n))
+    if kind == "descending":
+        return np.sort(rng.normal(0.0, 1.0, size=n))[::-1]
+    return _tie_stream(q, n, seed=13)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("kind", ["gaussian", "quantised", "decoded",
+                                  "constant", "ascending", "descending",
+                                  "ties"])
+def test_p2_block_update_is_bit_identical_to_per_sample(kind, q):
+    xs = _p2_stream(kind, q)
+    ref = _ReferenceP2(q)
+    trajectory = []  # reference state after each sample
+    for x in xs.tolist():
+        ref.update(x)
+        trajectory.append(_p2_state(ref))
+    # Splits of 3, 5 and 7 also split (or exactly fill) the warm-up;
+    # the state must match at every block boundary, not only the end.
+    for split in (1, 3, 5, 7, 1024, xs.size):
+        est = P2Quantile(q)
+        for lo in range(0, xs.size, split):
+            est.update_block(xs[lo:lo + split])
+            assert _p2_state(est) == trajectory[est.count - 1], split
+        assert est.value == ref._heights[2]
+    scalar = P2Quantile(q)
+    for x in xs.tolist():
+        scalar.update(x)
+    assert _p2_state(scalar) == trajectory[-1]
+
+
+def test_p2_block_update_mid_warm_up_state():
+    ref, est = _ReferenceP2(0.5), P2Quantile(0.5)
+    xs = [3.0, 1.0, 2.0, 5.0, 4.0, 0.5, 6.0]
+    for x in xs:
+        ref.update(x)
+    est.update_block(np.array(xs[:2]))
+    assert _p2_state(est)[0] == [1.0, 3.0] and est.count == 2
+    est.update_block(np.array(xs[2:6]))  # finishes warm-up, then one
+    est.update_block(np.array([]))
+    est.update_block(np.array(xs[6:]))
+    assert _p2_state(est) == _p2_state(ref)
+
+
 # -- rung histogram ------------------------------------------------------
 
 
@@ -331,6 +486,53 @@ def test_detector_worst_word_and_chunk_split():
     assert len(det.events) == 1
     assert det.events[0].worst_word == "0000001"
     assert det.events[0].worst_v == pytest.approx(0.85)
+
+
+def _split_detector_trace():
+    """Hand-placed episodes, hold-offs and glitches, then a random
+    walk; enter 2 / exit 5, min_duration 3, refractory 8."""
+    head = ([6] * 5              # 0-4 quiet
+            + [2, 1, 0, 1, 2, 3]  # 5-10 episode across the 7 boundary
+            + [6, 6, 2]           # 11 closes; 13 rings back in hold-off
+            + [6] * 7             # 14-20: a quiet 7-chunk in hold-off
+            + [2, 2, 6]           # 21-23 glitch, discarded
+            + [6] * 4
+            + [1] * 6 + [6]       # 28-34 episode, hold-off to 42
+            + [6] * 6)
+    rng = np.random.default_rng(21)
+    walk = np.clip(6 + np.cumsum(rng.integers(-1, 2, size=3000)), 0, 7)
+    return np.concatenate([head, walk, [1, 1, 1, 1]])
+
+
+def _detector_run(ks, split):
+    det = DroopDetector("s", enter_rung=2, exit_rung=5, reference_v=1.0,
+                        min_duration=3, refractory=8)
+    mids = 0.8 + 0.03 * ks.astype(float)
+    words = (np.arange(7)[None, :] < ks[:, None]).astype(np.uint8)
+    times = np.arange(ks.size, dtype=float)
+    quiet_in_holdoff = 0
+    for lo in range(0, ks.size, split):
+        sl = slice(lo, lo + split)
+        if det._holdoff > 0 and np.all(ks[sl] > 2):
+            quiet_in_holdoff += 1
+        det.update_block(times[sl], ks[sl], mids[sl], words[sl])
+    det.finalize()
+    return det, quiet_in_holdoff
+
+
+def test_detector_any_chunking_gives_the_same_events():
+    ks = _split_detector_trace()
+    whole, _ = _detector_run(ks, ks.size)
+    assert whole.discarded >= 1 and len(whole.events) >= 3
+    assert whole.events[0].start == 5.0 and whole.events[0].end == 10.0
+    assert whole.events[1].start == 28.0  # 13 fell in the hold-off
+    assert whole.events[-1].truncated
+    for split in (1, 7, 1024):
+        det, quiet_in_holdoff = _detector_run(ks, split)
+        assert det.events == whole.events, split
+        assert det.discarded == whole.discarded
+    # The 7-split covers a quiet chunk while a hold-off is pending.
+    assert _detector_run(ks, 7)[1] >= 1
 
 
 def test_detector_validation():

@@ -386,6 +386,18 @@ def test_pipeline_validation(design, droop_trace):
         ))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"ewma_alpha": 0.0},
+    {"quantiles": (1.5,)},
+    {"enter_rung": 5, "exit_rung": 3},
+    {"min_duration": 0},
+    {"refractory": -1},
+])
+def test_per_site_settings_fail_at_construction(design, kwargs):
+    with pytest.raises(ConfigurationError):
+        TelemetryPipeline(design, **kwargs)
+
+
 def test_ewma_baseline_tracks_mean(design):
     times, volts, _ = synthetic_droop_trace(
         n_samples=30_000, n_droops=0, noise_rms=3e-3, seed=8,
