@@ -11,7 +11,7 @@ Two workloads, each timed both ways and cross-checked for agreement:
 * ``yield_200`` — the 200-die Monte-Carlo yield study at code 011.
   Kernel path: the batched :func:`~repro.analysis.yield_study.
   run_yield_study` lot solve.  Scalar oracle: the pre-kernel per-die
-  loop (``_score_die_scalar``).
+  loop (``benchmarks._oracles.score_die_scalar``).
 
 Agreement gates the timing claim: thresholds must match the oracle to
 within 2e-9 V (its own ``xtol``) and every word/decode/score output
@@ -79,23 +79,21 @@ def _fig5_kernel(design, supplies):
 
 
 def _yield_scalar(design, lot, supplies, ladder, code):
-    from repro.analysis.yield_study import _score_die_scalar
+    from benchmarks._oracles import score_die_scalar
 
     return [
-        _score_die_scalar(design, s, code, supplies, ladder)
+        score_die_scalar(design, s, code, supplies, ladder)
         for s in lot
     ]
 
 
 def _yield_kernel(design, lot, supplies, ladder, code):
-    from repro.analysis.yield_study import (
-        _score_from_thresholds,
-        lot_threshold_grid,
-    )
+    from benchmarks._oracles import score_from_thresholds
+    from repro.kernels import lot_threshold_grid
 
     grid = lot_threshold_grid(design, lot, code)
     return [
-        _score_from_thresholds(grid[i], supplies, ladder)
+        score_from_thresholds(grid[i], supplies, ladder)
         for i in range(len(lot))
     ]
 

@@ -6,7 +6,7 @@ shared-memory pool broadcast), each gated on agreement *before* any
 timing claim:
 
 * ``yield_fused`` — the yield-study lot reduction.  Tier 1: the
-  per-die :func:`~repro.analysis.yield_study._score_from_thresholds`
+  per-die :func:`benchmarks._oracles.score_from_thresholds`
   loop (one word/diff/decode pass per die).  Tier 2: one
   :func:`~repro.kernels.score_lot_grids` call across the whole lot.
   Gate: every :class:`~repro.analysis.yield_study._DieScore` field is
@@ -65,9 +65,9 @@ GUARDBANDS_V = tuple(d * 1e-3 for d in
 
 
 def _yield_tier1(grid, supplies, ladder):
-    from repro.analysis.yield_study import _score_from_thresholds
+    from benchmarks._oracles import score_from_thresholds
 
-    return [_score_from_thresholds(grid[i], supplies, ladder)
+    return [score_from_thresholds(grid[i], supplies, ladder)
             for i in range(grid.shape[0])]
 
 

@@ -10,12 +10,12 @@ per-bit thresholds (sensor inverters take the per-instance technology;
 the shared window blocks take the die technology), and report threshold
 spread, monotonicity violations, bubble rates and decode accuracy.
 
-Dies are independent, and every die's randomness comes from its
+Dies are independent, every die's randomness comes from its
 :class:`~repro.devices.variation.VariationSample` (seeded at lot
-creation, never from scheduling), so :func:`run_yield_study` takes
-``workers=`` (process-pool fan-out across dies, bit-identical to the
-serial loop) and ``cache=`` (per-die memoization keyed by the design
-fingerprint, the sample, the code and the supply grid) — see
+creation, never from scheduling), and the lot threshold solve is batch
+invariant, so :func:`run_yield_study` scores contiguous chunks of dies
+(``workers=``, one chunk per worker) with per-die memoization
+(``cache=``) and returns the same report for every setting — see
 :mod:`repro.runtime`.  Both default to serial, uncached behavior.
 """
 
@@ -31,23 +31,16 @@ from typing import TYPE_CHECKING
 from repro.analysis.thermometer import ThermometerWord, decode_word
 from repro.devices.variation import VariationModel, VariationSample
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    bracket_grid,
-    bubble_grid,
-    decode_bounds,
-    lot_threshold_grid,
-    ones_count_grid,
-    score_lot_grids,
-    threshold_grid,
-    word_grid,
-)
+from repro.kernels import lot_threshold_grid, score_lot_grids, threshold_grid
 from repro.runtime import (
     ResultCache,
-    cached_map,
     design_fingerprint,
+    resilient_map,
     resolve_cache,
+    resolve_workers,
     task_key,
 )
+from repro.runtime.resilient import FAILURE_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at call sites: repro.core imports repro.analysis
@@ -153,88 +146,17 @@ class _DieScore:
     errors: tuple[float, ...]
 
 
-def _score_from_thresholds(thresholds: np.ndarray,
-                           supplies: tuple[float, ...],
-                           nominal_ladder: tuple[float, ...]) -> _DieScore:
-    """Evaluate one die's solved thresholds across the supply grid.
-
-    All-kernel: word/bubble/decode/bracket evaluation is pure compare
-    arithmetic, bit-identical to the scalar loop it replaces.  Shared
-    by the per-die (pool/cache) path and the batched serial path, so
-    both produce identical :class:`_DieScore` payloads.
-    """
-    v = np.asarray(supplies, dtype=float)
-    words = word_grid(v, thresholds)
-    bubbled = int(np.count_nonzero(bubble_grid(words)))
-    k = ones_count_grid(words)
-    lo, hi = decode_bounds(nominal_ladder, k)
-    bracketed = int(np.count_nonzero(bracket_grid(v, lo, hi)))
-    bounded = np.isfinite(lo) & np.isfinite(hi)
-    mids = 0.5 * (lo[bounded] + hi[bounded])
-    errors = tuple(float(e) for e in np.abs(mids - v[bounded]))
-    die_ladder = np.sort(thresholds)
-    lo_c, hi_c = decode_bounds(die_ladder, k)
-    bracketed_cal = int(np.count_nonzero(bracket_grid(v, lo_c, hi_c)))
-    return _DieScore(
-        thresholds=tuple(float(t) for t in thresholds),
-        monotone=bool(np.all(np.diff(thresholds) > 0)),
-        bubbled=bubbled,
-        bracketed=bracketed,
-        bracketed_cal=bracketed_cal,
-        errors=errors,
-    )
-
-
-def _score_die(design: "SensorDesign", sample: VariationSample,
-               code: int, supplies: tuple[float, ...],
-               nominal_ladder: tuple[float, ...]) -> _DieScore:
-    """Characterize one die and evaluate it across the supply grid."""
-    thresholds = lot_threshold_grid(design, (sample,), code)[0]
-    return _score_from_thresholds(thresholds, supplies, nominal_ladder)
-
-
-def _score_die_scalar(design: "SensorDesign", sample: VariationSample,
-                      code: int, supplies: tuple[float, ...],
-                      nominal_ladder: tuple[float, ...]) -> _DieScore:
-    """The pre-kernel scalar scoring loop, kept as the perf/property
-    oracle: one ``brentq`` per bit, one Python decode per supply."""
-    die = die_characteristic(design, sample, code=code)
-    die_ladder = tuple(sorted(die.thresholds))
-    bubbled = bracketed = bracketed_cal = 0
-    errors: list[float] = []
-    for v in supplies:
-        word = die.word_at(v)
-        if not word.is_valid_thermometer:
-            bubbled += 1
-        rng = decode_word(word, nominal_ladder, strict=False)
-        if rng.contains(v):
-            bracketed += 1
-        if rng.bounded:
-            errors.append(abs(rng.midpoint - v))
-        rng_cal = decode_word(word, die_ladder, strict=False)
-        if rng_cal.contains(v):
-            bracketed_cal += 1
-    return _DieScore(
-        thresholds=die.thresholds,
-        monotone=die.monotone,
-        bubbled=bubbled,
-        bracketed=bracketed,
-        bracketed_cal=bracketed_cal,
-        errors=tuple(errors),
-    )
-
-
 def _scores_from_lot_grid(lot_grid: np.ndarray,
                           supply_grid: tuple[float, ...],
                           nominal_ladder: tuple[float, ...]
                           ) -> list["_DieScore"]:
     """Fused lot scoring: one vectorized reduction across all dies.
 
-    Replaces the per-die :func:`_score_from_thresholds` loop with
-    :func:`repro.kernels.score_lot_grids` — no per-die word/diff grids
-    — while producing bit-identical :class:`_DieScore` payloads (the
-    fused kernel performs the same compares and gathers; enforced by
-    ``tests/test_kernels_fused.py``).
+    :func:`repro.kernels.score_lot_grids` scores every row of
+    ``lot_grid`` independently (no per-die word/diff grids), so a
+    chunk of dies scores exactly as the same rows of the whole lot —
+    ``tests/test_kernels_fused.py`` holds it to the per-die scalar
+    oracle.
     """
     g = score_lot_grids(np.asarray(lot_grid, dtype=float),
                         np.asarray(supply_grid, dtype=float),
@@ -253,21 +175,13 @@ def _scores_from_lot_grid(lot_grid: np.ndarray,
     return scores
 
 
-def _score_die_task(spec: tuple) -> _DieScore:
-    """Picklable adapter: one die score from a task payload tuple."""
-    return _score_die(*spec)
-
-
-def _score_die_shm_task(spec: tuple, arrays: dict) -> _DieScore:
-    """Pool adapter with the broadcast grids riding shared memory:
-    the payload carries only (design, sample, code); the supply grid
-    and nominal ladder arrive as zero-copy shared arrays (see
-    :mod:`repro.runtime.shm`).  Bit-identical to
-    :func:`_score_die_task` — same floats, different transport."""
-    design, sample, code = spec
-    supplies = tuple(float(v) for v in arrays["supplies"])
-    ladder = tuple(float(v) for v in arrays["ladder"])
-    return _score_die(design, sample, code, supplies, ladder)
+def _score_chunk(spec: tuple) -> list[_DieScore]:
+    """Map task (picklable): solve and score one chunk of dies."""
+    design, samples, code, supply_grid, nominal_ladder = spec
+    return _scores_from_lot_grid(
+        lot_threshold_grid(design, samples, code), supply_grid,
+        nominal_ladder,
+    )
 
 
 def run_yield_study(design: "SensorDesign",
@@ -287,8 +201,9 @@ def run_yield_study(design: "SensorDesign",
 
     Each die's randomness is fixed by its
     :class:`~repro.devices.variation.VariationSample` (derived from
-    ``seed`` at lot creation), so the per-die scores are pure functions
-    of their payload and the parallel path is bit-identical to serial.
+    ``seed`` at lot creation), and the threshold solve is batch
+    invariant, so a die scores the same in any chunk: every
+    ``workers`` / ``cache`` combination returns the same report.
 
     Args:
         design: Calibrated design.
@@ -303,24 +218,36 @@ def run_yield_study(design: "SensorDesign",
             advertise the ``lot_thresholds`` capability (the kernel
             driver and replayed kernel traces do; the event-sim driver
             does not — :class:`~repro.errors.BackendError` otherwise).
-            A named driver takes the serial protocol path and folds
-            its fingerprint into any cache keys; ``None`` (and no
-            ``REPRO_BACKEND``) keeps the classic batched/fan-out
-            routes below.
-        workers: Process-pool size for the per-die fan-out
-            (<= 1: serial).
+            A named driver scores the whole lot from one
+            ``lot_thresholds`` call in this process; it uses no cache
+            and no pool, so ``workers``, ``cache``, ``retries`` and
+            ``task_timeout`` do not apply.  ``None`` (and no
+            ``REPRO_BACKEND``) takes the chunked route below.
+        workers: Pool size (<= 1: serial).  The dies missing from the
+            cache are split into ``min(workers, missing)`` contiguous
+            chunks, each solved and scored as one batch.
         cache: On-disk memoization of per-die scores — a
             :class:`~repro.runtime.ResultCache` or a cache directory;
-            ``None`` disables caching.
+            ``None`` disables caching.  Each die has its own entry,
+            written as soon as its chunk completes; a fully cached lot
+            solves nothing and starts no pool.
         retries / task_timeout / failure_policy: Resilience options
-            (see :func:`repro.runtime.map_tasks`).  Under ``"partial"``
-            dies whose scoring failed through the retry budget are
-            dropped from the lot statistics (``n_dies`` in the report
-            reflects the *scored* dies); every-die failure raises
+            (see :func:`repro.runtime.resilient_map`).  Under
+            ``"raise"`` a retry re-runs the whole chunk and
+            ``task_timeout`` bounds a chunk, not a die.  Under
+            ``"partial"`` every die is its own chunk: dies whose
+            scoring failed through the retry budget are dropped from
+            the lot statistics (``n_dies`` in the report reflects the
+            *scored* dies); every-die failure raises
             :class:`ConfigurationError`.
     """
     if n_dies < 1:
         raise ConfigurationError("n_dies must be positive")
+    if failure_policy not in FAILURE_POLICIES:
+        raise ConfigurationError(
+            f"failure_policy must be one of {FAILURE_POLICIES}, "
+            f"got {failure_policy!r}"
+        )
     nominal_grid = threshold_grid(design, (code,))[:, 0]
     if supplies is None:
         lo = float(nominal_grid[0])
@@ -330,12 +257,10 @@ def run_yield_study(design: "SensorDesign",
     nominal_ladder = tuple(float(v) for v in nominal_grid)
 
     lot = variation.sample_lot(n_dies, design.n_bits, seed=seed)
-    store = resolve_cache(cache)
     # Imported lazily: repro.core imports repro.analysis at package
     # load, so a module-level backends import would be circular.
     from repro.backends import BACKEND_ENV, BackendError, resolve_backend
 
-    bk = None
     if backend is not None or os.environ.get(BACKEND_ENV):
         bk = resolve_backend(backend)
         if not bk.capabilities().lot_thresholds:
@@ -343,52 +268,50 @@ def run_yield_study(design: "SensorDesign",
                 f"backend {bk.id!r} does not characterize mismatch "
                 f"lots (capabilities().lot_thresholds is False)"
             )
-    if bk is not None:
-        # Generic driver path: one lot_thresholds op (so a recorded
-        # yield study is a single-record trace), scored with the same
-        # kernel reduction as the classic branches.
+        # One lot_thresholds op, so a recorded yield study is a
+        # single-record trace.
         bk.configure(design)
-        lot_grid = bk.lot_thresholds(lot, code)
-        scores: list[_DieScore] = _scores_from_lot_grid(
-            lot_grid, supply_grid, nominal_ladder
-        )
-    elif (store is None and (workers is None or workers <= 1)
-            and failure_policy == "raise"):
-        # Batched kernel path: one lot-wide root solve and one fused
-        # lot-wide scoring reduction instead of a per-die fan-out.
-        # Solver batch invariance plus the fused kernel's exact parity
-        # make each die bit-identical to the per-die path used by the
-        # pool/cache branch below, so the branches stay
-        # interchangeable.
-        lot_grid = lot_threshold_grid(design, lot, code)
-        scores: list[_DieScore] = _scores_from_lot_grid(
-            lot_grid, supply_grid, nominal_ladder
+        scores = _scores_from_lot_grid(
+            bk.lot_thresholds(lot, code), supply_grid, nominal_ladder
         )
     else:
-        keys = None
+        # Cache hits first.  The missing dies go in contiguous chunks,
+        # one per worker (one die per chunk under "partial"), and each
+        # die's score is put the moment its chunk completes.
+        store = resolve_cache(cache)
+        found: list[_DieScore | None] = [None] * n_dies
+        keys: list[str] = []
         if store is not None:
             fp = design_fingerprint(design)
-            keys = [
-                task_key("die-score", fp, sample, code, supply_grid)
-                for sample in lot
-            ]
-        # The per-task payload shrinks to (design, sample, code): the
-        # broadcast supply grid and nominal ladder ride shared memory
-        # (one copy-in per pool instead of one pickle per die).
-        out = cached_map(
-            _score_die_shm_task,
-            [(design, sample, code) for sample in lot],
-            keys=keys, cache=store, workers=workers, retries=retries,
-            task_timeout=task_timeout, failure_policy=failure_policy,
-            shared={
-                "supplies": np.asarray(supply_grid, dtype=float),
-                "ladder": np.asarray(nominal_ladder, dtype=float),
-            },
-        )
-        scores = (
-            [s for s in out.results if s is not None]
-            if failure_policy == "partial" else out
-        )
+            keys = [task_key("die-score", fp, sample, code, supply_grid)
+                    for sample in lot]
+            for i, key in enumerate(keys):
+                hit, value = store.get(key)
+                if hit:
+                    found[i] = value
+        missing = [i for i, score in enumerate(found) if score is None]
+        if missing:
+            n = (len(missing) if failure_policy == "partial"
+                 else min(resolve_workers(workers), len(missing)))
+            bounds = [len(missing) * c // n for c in range(n + 1)]
+            chunks = [missing[a:b] for a, b in zip(bounds, bounds[1:])]
+
+            def on_result(c: int, chunk_scores: list[_DieScore]) -> None:
+                for i, score in zip(chunks[c], chunk_scores):
+                    found[i] = score
+                    if store is not None:
+                        store.put(keys[i], score)
+
+            resilient_map(
+                _score_chunk,
+                [(design, [lot[i] for i in chunk], code, supply_grid,
+                  nominal_ladder) for chunk in chunks],
+                workers=workers, retries=retries,
+                task_timeout=task_timeout, failure_policy=failure_policy,
+                on_result=on_result,
+            )
+        # Dies that failed under "partial" stay None and drop out.
+        scores = [score for score in found if score is not None]
     if not scores:
         raise ConfigurationError(
             "every die failed scoring; nothing to report"

@@ -168,11 +168,12 @@ def score_lot_grids(lot_grid: np.ndarray,
                     ) -> dict[str, np.ndarray]:
     """The yield-study per-die reduction, vectorized across the lot.
 
-    One call replaces the per-die ``_score_from_thresholds`` loop in
-    :func:`repro.analysis.yield_study.run_yield_study`: every output
-    row equals the per-die call on ``lot_grid[d]`` exactly (same
-    compares and gathers over the same float64 inputs), so the fused
-    batched path and the per-die pool/cache path stay bit-identical.
+    One call scores every die of a
+    :func:`repro.analysis.yield_study.run_yield_study` chunk: each
+    output row equals a per-die word/bubble/decode pass on
+    ``lot_grid[d]`` exactly (same compares and gathers over the same
+    float64 inputs), and depends on no other row, so any chunking of
+    the lot scores identically.
 
     Args:
         lot_grid: ``(dies, bits)`` solved thresholds, physical bit

@@ -76,7 +76,7 @@ def env_workers(default: int | None = None) -> int | None:
 
 
 def _iter_map(fn: Callable[..., _R], payloads: Sequence[_T],
-              workers: int | None, chunksize: int,
+              workers: int | None,
               shared: "Mapping[str, Any] | None" = None) -> Iterator[_R]:
     """Yield ``fn(x)`` per payload *in submission order, as computed*.
 
@@ -106,8 +106,7 @@ def _iter_map(fn: Callable[..., _R], payloads: Sequence[_T],
             shm_pool.charge_tasks(len(payloads))
             with PROFILER.measure("runtime.pool"), \
                     ProcessPoolExecutor(max_workers=n) as pool:
-                yield from pool.map(task, payloads,
-                                    chunksize=max(1, chunksize))
+                yield from pool.map(task, payloads)
         return
     if n <= 1:
         for item in payloads:
@@ -115,7 +114,7 @@ def _iter_map(fn: Callable[..., _R], payloads: Sequence[_T],
         return
     with PROFILER.measure("runtime.pool"), \
             ProcessPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(fn, payloads, chunksize=max(1, chunksize))
+        yield from pool.map(fn, payloads)
 
 
 def _wants_resilience(retries: int, task_timeout: float | None,
@@ -126,7 +125,6 @@ def _wants_resilience(retries: int, task_timeout: float | None,
 
 def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
               workers: int | None = None,
-              chunksize: int = 1,
               retries: int = 0,
               task_timeout: float | None = None,
               failure_policy: str = "raise",
@@ -142,8 +140,6 @@ def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
         items: Task payloads (materialized once, in order).
         workers: Pool size per :func:`resolve_workers`; <= 1 runs
             serial in-process.
-        chunksize: Payload batching for the pool (latency knob only;
-            ignored when resilience options are active).
         retries: Extra attempts per failed task (exponential backoff
             with deterministic jitter — see
             :class:`repro.runtime.resilient.RetryPolicy`).
@@ -177,15 +173,13 @@ def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
         )
         return outcome if failure_policy == "partial" \
             else outcome.results
-    return list(_iter_map(fn, payloads, workers, chunksize,
-                          shared=shared))
+    return list(_iter_map(fn, payloads, workers, shared=shared))
 
 
 def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
                keys: Sequence[str] | None = None,
                cache: "ResultCache | str | os.PathLike[str] | None" = None,
                workers: int | None = None,
-               chunksize: int = 1,
                retries: int = 0,
                task_timeout: float | None = None,
                failure_policy: str = "raise",
@@ -212,8 +206,6 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
         cache: A :class:`ResultCache`, a cache directory, or ``None``
             (no memoization).
         workers: Pool size for the misses (<= 1: serial in-process).
-        chunksize: Payload batching for the pool (ignored when
-            resilience options are active).
         retries / task_timeout / failure_policy: Resilience options as
             in :func:`map_tasks` — under ``"partial"`` the return
             value is a :class:`~repro.runtime.resilient.MapOutcome`.
@@ -234,8 +226,7 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
     store = resolve_cache(cache)
     payloads: Sequence[_T] = list(items)
     if store is None or keys is None:
-        return map_tasks(fn, payloads, workers=workers,
-                         chunksize=chunksize, shared=shared)
+        return map_tasks(fn, payloads, workers=workers, shared=shared)
     if len(keys) != len(payloads):
         raise ConfigurationError(
             f"got {len(keys)} cache keys for {len(payloads)} items"
@@ -248,8 +239,8 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
             results[i] = value
         else:
             pending.append((i, item))
-    computed = _iter_map(fn, [item for _, item in pending],
-                         workers, chunksize, shared=shared)
+    computed = _iter_map(fn, [item for _, item in pending], workers,
+                         shared=shared)
     for (i, _), value in zip(pending, computed):
         results[i] = value
         store.put(keys[i], value)

@@ -61,6 +61,7 @@ from repro.errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
+from repro.runtime.profiling import PROFILER
 
 FailurePolicy = Literal["raise", "partial"]
 
@@ -468,7 +469,8 @@ def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
     if shared is None:
         if use_pool:
             run.workers = n
-            run.run_pool()
+            with PROFILER.measure("runtime.pool"):
+                run.run_pool()
         else:
             run.run_serial()
         return
@@ -480,7 +482,8 @@ def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
             run.fn = SharedTask(fn, shm_pool.handles)
             shm_pool.charge_tasks(n_slots)
             run.workers = n
-            run.run_pool()
+            with PROFILER.measure("runtime.pool"):
+                run.run_pool()
     else:
         arrays = _readonly_views(shared)
         run.fn = lambda item: fn(item, arrays)

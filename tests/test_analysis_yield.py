@@ -89,3 +89,50 @@ def test_sample_size_validated(design):
         die_characteristic(design, small)
     with pytest.raises(ConfigurationError):
         run_yield_study(design, MILD, n_dies=0)
+
+
+def test_failure_policy_validated_on_every_route(design):
+    for backend in (None, "kernel"):
+        with pytest.raises(ConfigurationError):
+            run_yield_study(design, MILD, n_dies=2, backend=backend,
+                            failure_policy="bogus")
+
+
+class _LotWithout:
+    """Variation-model stand-in: a fixed lot with one die left out."""
+
+    def __init__(self, lot, skip):
+        self.lot = [s for s in lot if s != skip]
+
+    def sample_lot(self, n_dies, n_instances, *, seed):
+        return list(self.lot)
+
+
+def test_partial_policy_drops_only_the_failing_die(design, monkeypatch):
+    import repro.analysis.yield_study as ys
+
+    n, seed = 8, 5
+    lot = MILD.sample_lot(n, design.n_bits, seed=seed)
+    chosen = lot[3]
+    reference = run_yield_study(design, _LotWithout(lot, chosen),
+                                n_dies=n - 1, seed=seed)
+    real = ys.lot_threshold_grid
+
+    def sabotaged(design, samples, code, **kwargs):
+        if any(s == chosen for s in samples):
+            raise ValueError("injected solve failure")
+        return real(design, samples, code, **kwargs)
+
+    monkeypatch.setattr(ys, "lot_threshold_grid", sabotaged)
+    report = run_yield_study(design, MILD, n_dies=n, seed=seed,
+                             workers=1, failure_policy="partial")
+    assert report.n_dies == n - 1
+    assert report == reference
+
+    def always_fails(*args, **kwargs):
+        raise ValueError("injected solve failure")
+
+    monkeypatch.setattr(ys, "lot_threshold_grid", always_fails)
+    with pytest.raises(ConfigurationError):
+        run_yield_study(design, MILD, n_dies=n, seed=seed, workers=1,
+                        failure_policy="partial")

@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.thermometer import ThermometerWord, VoltageRange, decode_word
-from repro.analysis.yield_study import _score_die, _score_die_scalar
+from benchmarks._oracles import score_die_scalar
+from repro.analysis.yield_study import _scores_from_lot_grid
 from repro.core.array import SensorArray
 from repro.core.autorange import AutoRangingMeter
 from repro.core.degraded import DegradedArray
@@ -274,8 +275,9 @@ def test_one_bit_design_thresholds(design):
 
 
 def test_kernel_die_score_matches_scalar_oracle(design):
-    """The kernel scorer reproduces the retained scalar scorer field
-    for field (thresholds within tolerance, counts exactly)."""
+    """The kernel scorer (a one-die lot solve plus the fused lot
+    reduction) reproduces the scalar oracle field for field
+    (thresholds within tolerance, counts exactly)."""
     lot = VariationModel().sample_lot(6, design.n_bits, seed=17)
     ladder = tuple(float(t) for t in threshold_grid(design, (3,))[:, 0])
     supplies = tuple(
@@ -283,8 +285,9 @@ def test_kernel_die_score_matches_scalar_oracle(design):
                                       ladder[-1] - 0.01, 9)
     )
     for sample in lot:
-        kern = _score_die(design, sample, 3, supplies, ladder)
-        scal = _score_die_scalar(design, sample, 3, supplies, ladder)
+        grid = lot_threshold_grid(design, (sample,), 3)
+        kern, = _scores_from_lot_grid(grid, supplies, ladder)
+        scal = score_die_scalar(design, sample, 3, supplies, ladder)
         assert max(
             abs(a - b) for a, b in zip(kern.thresholds, scal.thresholds)
         ) <= TOL_V

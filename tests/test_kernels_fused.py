@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.thermometer import ThermometerWord, decode_word
-from repro.analysis.yield_study import _score_from_thresholds
+from benchmarks._oracles import score_from_thresholds
 from repro.errors import ConfigurationError, DecodingError
 from repro.kernels import (
     decode_bounds,
@@ -170,7 +170,7 @@ class TestScoreLotGrids:
         supplies = tuple(np.linspace(0.98, 1.18, 11))
         out = score_lot_grids(lot, supplies, LADDER)
         for d in range(lot.shape[0]):
-            ref = _score_from_thresholds(lot[d], supplies, LADDER)
+            ref = score_from_thresholds(lot[d], supplies, LADDER)
             assert out["monotone"][d] == ref.monotone
             assert out["bubbled"][d] == ref.bubbled
             assert out["bracketed"][d] == ref.bracketed
@@ -183,7 +183,7 @@ class TestScoreLotGrids:
         lot[1, [0, 1]] = lot[1, [1, 0]]  # swap two rungs
         supplies = tuple(np.linspace(0.98, 1.18, 9))
         out = score_lot_grids(lot, supplies, LADDER)
-        ref = _score_from_thresholds(lot[1], supplies, LADDER)
+        ref = score_from_thresholds(lot[1], supplies, LADDER)
         assert not out["monotone"][1]
         assert out["bubbled"][1] == ref.bubbled
         assert out["bracketed_cal"][1] == ref.bracketed_cal

@@ -149,13 +149,23 @@ def test_threshold_vs_cap_parallel_identical(design):
     assert parallel == serial
 
 
-def test_yield_study_parallel_identical_to_serial(design):
+def test_yield_study_parallel_identical_to_serial(design, tmp_path):
+    """Every workers x cache (none / cold / warm) combination, and
+    ``"partial"`` with no failures, returns the serial uncached
+    YieldReport bit-identically."""
     model = VariationModel()
-    serial = run_yield_study(design, model, n_dies=10, seed=11,
-                             workers=1)
-    parallel = run_yield_study(design, model, n_dies=10, seed=11,
-                               workers=WORKERS)
-    assert parallel == serial  # the full YieldReport, bit-identical
+    serial = run_yield_study(design, model, n_dies=10, seed=11)
+    for workers in (1, 2, 3):
+        assert run_yield_study(design, model, n_dies=10, seed=11,
+                               workers=workers) == serial
+        assert run_yield_study(design, model, n_dies=10, seed=11,
+                               workers=workers,
+                               failure_policy="partial") == serial
+        for expect in ((0, 10), (10, 0)):  # cold, then warm
+            cache = ResultCache(tmp_path / f"w{workers}")
+            assert run_yield_study(design, model, n_dies=10, seed=11,
+                                   workers=workers, cache=cache) == serial
+            assert (cache.hits, cache.misses) == expect
 
 
 def test_s_curve_ladder_parallel_identical(design):
@@ -242,18 +252,35 @@ def test_cache_clear_and_stats(tmp_path):
     assert cache.stats()["entries"] == 0
 
 
-def test_yield_study_cache_roundtrip(design, tmp_path):
+def test_yield_study_cache_roundtrip(design, tmp_path, monkeypatch):
+    import repro.analysis.yield_study as ys
+
     model = VariationModel()
-    cache = ResultCache(tmp_path)
-    cold = run_yield_study(design, model, n_dies=8, seed=11,
-                           cache=cache)
-    warm = run_yield_study(design, model, n_dies=8, seed=11,
-                           cache=cache)
-    assert warm == cold
-    assert cache.hits == 8
+    uncached = run_yield_study(design, model, n_dies=8, seed=11)
+    # sample_lot is prefix-stable, so a 5-die lot caches the first
+    # five dies of the 8-die lot: a mixed cache.
+    run_yield_study(design, model, n_dies=5, seed=11,
+                    cache=ResultCache(tmp_path))
+    mixed = ResultCache(tmp_path)
+    assert run_yield_study(design, model, n_dies=8, seed=11,
+                           cache=mixed) == uncached
+    assert (mixed.hits, mixed.misses) == (5, 3)
+
+    # A warm lot solves nothing and submits nothing.
+    def _boom(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("yield scoring ran on a warm cache")
+
+    monkeypatch.setattr(ys, "lot_threshold_grid", _boom)
+    monkeypatch.setattr(ys, "resilient_map", _boom)
+    warm = ResultCache(tmp_path)
+    for workers in (1, 2):
+        assert run_yield_study(design, model, n_dies=8, seed=11,
+                               workers=workers, cache=warm) == uncached
+    assert (warm.hits, warm.misses) == (16, 0)
+    monkeypatch.undo()
     # A different seed is a different lot: full miss.
-    run_yield_study(design, model, n_dies=8, seed=12, cache=cache)
-    assert cache.misses == 16
+    run_yield_study(design, model, n_dies=8, seed=12, cache=warm)
+    assert warm.misses == 8
 
 
 # -- the acceptance criterion: warm bench does zero bisections ----------------
