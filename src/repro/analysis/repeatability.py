@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import optimize, special
 
 from repro.errors import ConfigurationError
 from repro.runtime import (
@@ -150,6 +149,10 @@ class SCurve:
                 f"bit {self.bit}: S-curve does not cross 50% in the "
                 f"swept range"
             )
+
+        # Imported here so that only a process that fits pays for
+        # scipy.optimize (and the scipy.linalg it loads).
+        from scipy import optimize, special
 
         def model(v, mu, sigma):
             return 0.5 * (1.0 + special.erf((v - mu)

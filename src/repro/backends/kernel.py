@@ -5,7 +5,8 @@ Routes every protocol op to the vectorized kernel tier:
 * words — :func:`repro.kernels.montecarlo.word_grid_mc` (bit-identical
   to the scalar :meth:`~repro.core.sensor.SensorBit.measure`);
 * thresholds — :func:`repro.kernels.thresholds.threshold_grid`
-  (|kernel - brentq oracle| <= 2e-9 V);
+  (|kernel - scalar Brent oracle| <= 2e-9 V; the oracle is the
+  in-tree :func:`repro.devices.brent.brentq`, ``==`` to scipy's);
 * mismatch lots — :func:`repro.kernels.thresholds.lot_threshold_grid`;
 * S-curves — :func:`repro.kernels.montecarlo.s_curve_trip_probability`
   under the documented seed-threading scheme.

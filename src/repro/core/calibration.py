@@ -35,12 +35,12 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.cells.delay_elements import DelayElement
 from repro.cells.combinational import Inverter
 from repro.cells.sequential import DFlipFlop
 from repro.core import paperdata
+from repro.devices.brent import brentq
 from repro.devices.mosfet import AlphaPowerModel, voltage_factor
 from repro.devices.technology import TECH_90NM, Technology
 from repro.errors import CalibrationError, ConfigurationError
@@ -249,7 +249,7 @@ def _solve_vth(alpha: float) -> float:
             f"[{v_min}, {v_max}] for alpha={alpha}; "
             f"f({v_min})={f_min:.3e}, f({v_max})={f_max:.3e}"
         )
-    return float(brentq(mismatch, v_min, v_max, xtol=1e-9))
+    return brentq(mismatch, v_min, v_max, xtol=1e-9)
 
 
 def _solve_t0(tech: Technology) -> float:
@@ -288,7 +288,7 @@ def _solve_sensor_strength(tech: Technology, t0: float,
             f"no sensor strength in [{s_min}, {s_max}] hits the Fig. 4 "
             f"anchor (f_min={f_min:.3e}, f_max={f_max:.3e})"
         )
-    return float(brentq(mismatch, s_min, s_max, xtol=1e-6))
+    return brentq(mismatch, s_min, s_max, xtol=1e-6)
 
 
 def _solve_load_caps(tech: Technology, t0: float, sensor_strength: float,

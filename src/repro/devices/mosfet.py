@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from repro.devices.brent import brentq
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError
 
@@ -158,7 +158,7 @@ class AlphaPowerModel:
                 "gate is slower than target_delay even at the upper bracket; "
                 "no threshold exists in the interval"
             )
-        return float(brentq(f, lo, v_hi, xtol=1e-9))
+        return brentq(f, lo, v_hi, xtol=1e-9)
 
     def with_strength(self, strength: float) -> "AlphaPowerModel":
         """Return a copy at a different drive strength."""

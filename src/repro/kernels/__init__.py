@@ -9,7 +9,7 @@ operations over (samples x bits x codes x supplies) grids:
   a safeguarded Newton-bisection iteration converged to a few ulps;
 * **threshold grids** (:mod:`repro.kernels.thresholds`) — per-bit
   failure thresholds over (bit x code) and (die x bit) grids, replacing
-  per-point ``brentq`` loops;
+  per-point Brent-solver loops;
 * **thermometer evaluation** (:mod:`repro.kernels.thermometer`) —
   words, bubble flags, ones counts and decode bounds over
   (sample x supply) grids, replacing per-word Python loops.
@@ -33,9 +33,10 @@ Contract with the scalar layer: the scalar paths
 :func:`~repro.analysis.thermometer.decode_word`, ...) stay in place as
 the *oracle*; the kernels must agree with them bit-identically where
 the arithmetic is the same elementwise computation, and within the
-oracle's own root-finding tolerance (``brentq`` ``xtol=1e-9``, so
-|kernel - oracle| <= 2e-9 V) where the kernels solve to higher
-precision.  ``tests/test_kernels.py`` enforces both on randomized
+oracle's own root-finding tolerance (``xtol=1e-9`` in the in-tree
+Brent solver :func:`repro.devices.brent.brentq`, ``==`` to scipy's
+``brentq``; so |kernel - oracle| <= 2e-9 V) where the kernels solve to
+higher precision.  ``tests/test_kernels.py`` enforces both on randomized
 designs.
 
 Kernels are also **batch-invariant**: evaluating one grid row at a time

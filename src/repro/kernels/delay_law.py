@@ -5,7 +5,8 @@ The scalar model (:mod:`repro.devices.mosfet`) evaluates
     d(V) = (k / strength) * (C_int + C) * g(V),
     g(V) = V / (V - vth)**alpha,
 
-one point at a time and inverts it with per-point ``brentq``.  This
+one point at a time and inverts it with the in-tree Brent solver
+(:func:`repro.devices.brent.brentq`, ``==`` to scipy's).  This
 module evaluates and inverts the same law over whole NumPy grids:
 
 * :func:`voltage_factor_grid` / :func:`delay_grid` are elementwise and
@@ -14,7 +15,7 @@ module evaluates and inverts the same law over whole NumPy grids:
 * :func:`solve_voltage_factor` inverts ``g(V) = G`` with a safeguarded
   Newton-bisection iteration run in log space, converged until the
   per-lane bracket collapses to a few ulps — *more* accurate than the
-  scalar oracle's ``brentq(xtol=1e-9)``, hence within ``2e-9`` V of it
+  scalar oracle's Brent solve (``xtol=1e-9``), hence within ``2e-9`` V of it
   (see :mod:`repro.kernels`).
 
 Batch invariance: every update is elementwise and converged lanes are

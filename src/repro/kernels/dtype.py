@@ -2,7 +2,7 @@
 
 Every kernel entry point computes in IEEE-754 float64 by default —
 that is the precision the scalar oracles use, and the whole
-agreement-before-timing story (|kernel - brentq| <= 2e-9 V) is a
+agreement-before-timing story (|kernel - Brent oracle| <= 2e-9 V) is a
 float64 statement.  For throughput-bound campaigns (lot solves, MC
 draw cubes) the kernels also accept ``dtype=np.float32``: half the
 memory traffic, wider SIMD lanes, and a *documented, tested* accuracy

@@ -215,9 +215,10 @@ def s_curve_levels(design: "SensorDesign", *, code: int,
     """Per-bit sweep levels ``threshold +- span_sigmas * noise_rms``.
 
     Centers come from the *scalar* :meth:`SensorDesign.bit_threshold`
-    (``brentq``), not the vectorized solver: the sweep grid must equal
-    the scalar oracle's float for float so the noisy draws — which add
-    to these levels — coincide exactly.  O(bits) root solves are
+    (the in-tree Brent solver, ``==`` to scipy's ``brentq``), not the
+    vectorized solver: the sweep grid must equal the scalar oracle's
+    float for float so the noisy draws — which add to these levels —
+    coincide exactly.  O(bits) root solves are
     negligible against the draw cube.
 
     Returns:

@@ -1,8 +1,9 @@
 """Threshold grids: per-bit failure thresholds without Python loops.
 
 The scalar oracle is :meth:`repro.core.calibration.SensorDesign.
-bit_threshold` — one ``brentq`` per (bit, code).  These kernels build
-the same quantities for whole grids:
+bit_threshold` — one solve of the in-tree Brent solver
+(:func:`repro.devices.brent.brentq`, ``==`` to scipy's) per (bit,
+code).  These kernels build the same quantities for whole grids:
 
 * :func:`window_grid` — effective sensing windows per code;
 * :func:`threshold_grid` — (bits x codes) thresholds for one

@@ -41,7 +41,6 @@ import functools
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ConfigurationError
 from repro.runtime.profiling import phase
@@ -83,6 +82,10 @@ class DiscretePDN:
         block = np.zeros((4, 4))
         block[:2, :2] = a * dt
         block[:2, 2:] = b * dt
+        # Imported here so that only a process that steps a PDN pays for
+        # scipy.linalg.
+        from scipy.linalg import expm
+
         e = expm(block)
         self.params = params
         self.dt = float(dt)

@@ -15,8 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from repro.errors import ConfigurationError
 
@@ -31,6 +29,11 @@ def _grid_factorization(grid: "IRDropGrid"):
     stamp pattern is built with whole-array COO triplets (duplicate
     entries sum), replacing the per-tile Python double loop.
     """
+    # Imported here so that only a process that solves a grid pays for
+    # scipy.sparse.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import splu
+
     n = grid.n_tiles
     g_seg = 1.0 / grid.r_segment
     g_pad = 1.0 / grid.r_pad

@@ -26,6 +26,8 @@ prints :meth:`PhaseProfiler.report` afterwards.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -51,6 +53,10 @@ class PhaseProfiler:
 
     enabled: bool = False
     phases: dict[str, PhaseStat] = field(default_factory=dict)
+    # Campaign stage threads report concurrently; ``+=`` on a stat is a
+    # read-modify-write that would otherwise lose increments.
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False, compare=False)
 
     def enable(self) -> None:
         self.enabled = True
@@ -59,13 +65,15 @@ class PhaseProfiler:
         self.enabled = False
 
     def reset(self) -> None:
-        self.phases.clear()
+        with self._lock:
+            self.phases.clear()
 
     def add(self, name: str, seconds: float) -> None:
-        """Charge ``seconds`` to a phase (one call)."""
-        stat = self.phases.setdefault(name, PhaseStat())
-        stat.calls += 1
-        stat.seconds += seconds
+        """Charge ``seconds`` to a phase (one call); thread-safe."""
+        with self._lock:
+            stat = self.phases.setdefault(name, PhaseStat())
+            stat.calls += 1
+            stat.seconds += seconds
 
     @contextmanager
     def measure(self, name: str) -> Iterator[None]:
@@ -81,7 +89,8 @@ class PhaseProfiler:
 
     def snapshot(self) -> dict[str, tuple[int, float]]:
         """``{phase: (calls, seconds)}`` — a picklable copy."""
-        return {k: (v.calls, v.seconds) for k, v in self.phases.items()}
+        with self._lock:
+            return {k: (v.calls, v.seconds) for k, v in self.phases.items()}
 
     def report(self, *, total: float | None = None) -> str:
         """Human-readable breakdown, widest phase first.
@@ -133,6 +142,14 @@ class PhaseProfiler:
 
 #: The process-global profiler instrumented code reports into.
 PROFILER = PhaseProfiler()
+
+if hasattr(os, "register_at_fork"):
+    # A forked pool worker inherits the lock in whatever state a parent
+    # stage thread left it; a lock held at the fork would never be
+    # released in the child.
+    os.register_at_fork(
+        after_in_child=lambda: setattr(PROFILER, "_lock", threading.Lock())
+    )
 
 
 def phase(name: str):

@@ -2,11 +2,22 @@
 
 Every production flow (``repro yield``, ``repro serve``, campaigns) is
 a short process that pays the package's import time before it does any
-work.  Module headers therefore import only what set-up needs:
-``scipy.signal`` (which loads ``scipy.stats``) is imported at its two
-filtering call sites, and ``networkx`` is not a dependency at all.
-Each case runs in a fresh interpreter so the test session's own
-imports cannot hide a regression.
+work.  Module headers therefore import no scipy at all, and set-up
+(imports plus ``paper_design()``) loads none of it: calibration solves
+with the in-tree :mod:`repro.devices.brent`.  Each scipy piece is
+imported at the call that uses it, and each first-call case below
+checks that the call loads it and returns the numbers this process
+gets:
+
+* ``scipy.signal`` (which loads ``scipy.stats``) at the two filtering
+  sites, ``band_limited_noise`` and ``TransientStepper.step``;
+* ``scipy.linalg`` (``expm``) when a ``TransientStepper`` discretizes
+  its PDN;
+* ``scipy.sparse`` (``splu``) at an ``IRDropGrid``'s first solve;
+* ``scipy.optimize`` (``curve_fit``) at the first ``SCurve.fit``.
+
+``networkx`` is not a dependency at all.  Each case runs in a fresh
+interpreter so the test session's own imports cannot hide a regression.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-HEAVY = ("scipy.signal", "scipy.stats", "networkx")
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.linalg",
+         "scipy.sparse", "scipy.special", "networkx")
 
 SET_UP = """
 import repro
@@ -55,6 +67,41 @@ values = stepper.step(np.linspace(0.0, 3.0, 64)).tolist()
 """
 
 
+DISCRETIZE = """
+from repro.kernels.transient import TransientStepper, discretize
+from repro.psn.pdn import PDNParameters
+
+params = PDNParameters()
+dt = 0.04 / params.resonant_frequency
+TransientStepper(params, dt)
+disc = discretize(params, dt)  # the stepper's cached discretization
+values = disc.a_d.tolist() + disc.b_d.tolist()
+"""
+
+GRID = """
+import numpy as np
+
+from repro.psn.grid import IRDropGrid
+
+grid = IRDropGrid(rows=4, cols=5, r_segment=0.05, r_pad=0.01)
+values = grid.solve(np.linspace(0.01, 0.2, 20).reshape(4, 5)).tolist()
+"""
+
+FIT = """
+import math
+
+from repro.analysis.repeatability import SCurve
+
+levels = tuple(0.90 + 0.005 * i for i in range(21))
+curve = SCurve(bit=3, levels=levels, n_per_level=200,
+               pass_probability=tuple(
+                   0.5 * (1.0 + math.erf((v - 0.951) / (2 ** 0.5 * 0.012)))
+                   for v in levels))
+fit = curve.fit()
+values = [fit.threshold, fit.noise_sigma, fit.rms_residual]
+"""
+
+
 def run_python(code: str):
     """Run ``code`` in a fresh interpreter; return the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -74,19 +121,34 @@ def test_set_up_imports_leave_heavy_packages_unloaded():
     assert out == []
 
 
-@pytest.mark.parametrize("site", [NOISE, STEPPER],
-                         ids=["band_limited_noise", "transient_stepper"])
-def test_filter_sites_import_scipy_signal_on_first_call(site):
+def assert_loaded_on_first_call(module: str, site: str) -> None:
+    """``site`` loads ``module`` (unloaded after set-up) and gives the
+    numbers the same code gives in this process."""
     out = run_python(
         "import json, sys\n" + SET_UP
-        + "before = 'scipy.signal' in sys.modules\n"
+        + f"before = {module!r} in sys.modules\n"
         + site
-        + "after = 'scipy.signal' in sys.modules\n"
+        + f"after = {module!r} in sys.modules\n"
         + "print(json.dumps({'before': before, 'after': after, "
         + "'values': values}))\n"
     )
     assert (out["before"], out["after"]) == (False, True)
-    # The lazily imported filter gives this process's numbers exactly.
+    # The lazily imported scipy gives this process's numbers exactly.
     here: dict = {}
     exec(site, here)
     assert out["values"] == here["values"]
+
+
+@pytest.mark.parametrize("site", [NOISE, STEPPER],
+                         ids=["band_limited_noise", "transient_stepper"])
+def test_filter_sites_import_scipy_signal_on_first_call(site):
+    assert_loaded_on_first_call("scipy.signal", site)
+
+
+@pytest.mark.parametrize("module,site", [
+    ("scipy.linalg", DISCRETIZE),
+    ("scipy.sparse", GRID),
+    ("scipy.optimize", FIT),
+], ids=["transient_stepper_init", "grid_solve", "s_curve_fit"])
+def test_solver_sites_import_scipy_on_first_call(module, site):
+    assert_loaded_on_first_call(module, site)

@@ -9,11 +9,16 @@ fit inside the wall time.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
+import sys
 import threading
 import time
 
-from repro.runtime.profiling import PhaseProfiler
+import pytest
+
+from repro.runtime.profiling import PROFILER, PhaseProfiler
 
 
 def _shares(report: str) -> dict[str, float]:
@@ -96,3 +101,58 @@ def test_without_total_shares_are_of_summed_time():
 def test_empty_profiler_reports_nothing_ran():
     assert PhaseProfiler().report(total=1.0) == \
         "profile: no instrumented phases ran"
+
+
+class _PyFloat(float):
+    """A float whose ``other + self`` runs Python code.
+
+    CPython only switches threads at calls and loop back-edges, so a
+    plain ``stat.seconds += 1.0`` never yields inside the
+    read-modify-write.  This operand does, which lets an unguarded
+    :meth:`PhaseProfiler.add` lose increments on any interpreter.
+    """
+
+    def __radd__(self, other):
+        return float(other) + float(self)
+
+
+@pytest.mark.parametrize("seconds", [1.0, _PyFloat(1.0)],
+                         ids=["float", "python_add"])
+def test_concurrent_adds_lose_no_increments(seconds):
+    prof = PhaseProfiler()
+    n_threads, n_adds = 8, 20_000
+    barrier = threading.Barrier(n_threads)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(n_adds):
+            prof.add("x", seconds)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert prof.snapshot() == {"x": (n_threads * n_adds,
+                                     float(n_threads * n_adds))}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_can_add_while_parent_holds_the_lock():
+    # A stage thread may be inside add() when the pool forks a worker.
+    ctx = multiprocessing.get_context("fork")
+    with PROFILER._lock:
+        child = ctx.Process(target=PROFILER.add, args=("x", 1.0))
+        child.start()
+    child.join(timeout=10)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+    assert not hung
+    assert child.exitcode == 0
