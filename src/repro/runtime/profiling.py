@@ -109,16 +109,16 @@ class PhaseProfiler:
                 residual is printed.  Omitted, shares are of summed
                 phase time.
         """
-        if not self.phases:
+        snap = self.snapshot()
+        if not snap:
             return "profile: no instrumented phases ran"
-        items = sorted(self.phases.items(),
-                       key=lambda kv: kv[1].seconds, reverse=True)
-        summed = sum(s.seconds for _, s in items)
+        items = sorted(snap.items(), key=lambda kv: kv[1][1], reverse=True)
+        summed = sum(seconds for _, (_, seconds) in items)
         wall = total if total is not None and total > 0 else None
         fits = wall is not None and summed <= wall
         denom = wall if fits else summed or 1.0
-        rows = [(name, f"{stat.calls:>5}", stat.seconds)
-                for name, stat in items]
+        rows = [(name, f"{calls:>5}", seconds)
+                for name, (calls, seconds) in items]
         if fits:
             rows.append(("(other)", " " * 5, wall - summed))
         width = max(len(name) for name, _, _ in rows)
