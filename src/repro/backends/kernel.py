@@ -1,6 +1,8 @@
 """The analytic + Monte-Carlo kernel driver (fast; the default).
 
-Routes every protocol op to the vectorized kernel tier:
+Routes every protocol op to the vectorized kernel tier; thresholds
+and mismatch lots are read through the process-wide
+:mod:`repro.kernels.ladders` store, which solves each ladder once:
 
 * words — :func:`repro.kernels.montecarlo.word_grid_mc` (bit-identical
   to the scalar :meth:`~repro.core.sensor.SensorBit.measure`);
@@ -20,14 +22,14 @@ import numpy as np
 
 from repro.backends.base import BackendCapabilities, SensorBackend
 from repro.core.sensor import SenseRail
-from repro.kernels import KERNEL_LAYOUT_VERSION
+from repro.kernels import KERNEL_LAYOUT_VERSION, ladders
+from repro.kernels.dtype import resolve_dtype
 from repro.kernels.montecarlo import (
     MC_SEED_SCHEME,
     effective_supply_grid,
     s_curve_trip_probability,
     word_grid_mc,
 )
-from repro.kernels.thresholds import lot_threshold_grid, threshold_grid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.devices.variation import VariationSample
@@ -60,15 +62,18 @@ class KernelBackend(SensorBackend):
     def bit_thresholds(self, code: int, *,
                        bits: Iterable[int] | None = None
                        ) -> tuple[float, ...]:
-        grid = threshold_grid(self.design, (code,), self.tech,
-                              bits=bits)[:, 0]
-        if self.rail is SenseRail.GND:
-            grid = self.design.tech.vdd_nominal - grid
+        dt = resolve_dtype()
+        rungs = ladders.ladder(self.design, code, self.tech, bits=bits,
+                               dtype=dt)
+        if self.rail is SenseRail.VDD:
+            return rungs
+        # The GND flip runs in the solve's dtype, as on the grid.
+        grid = self.design.tech.vdd_nominal - np.asarray(rungs, dtype=dt)
         return tuple(float(v) for v in grid)
 
     def lot_thresholds(self, lot: Sequence["VariationSample"],
                        code: int) -> np.ndarray:
-        return lot_threshold_grid(self.design, lot, code)
+        return ladders.die_ladders(self.design, lot, code)
 
     def s_curve(self, bit: int, *, code: int, noise_rms: float,
                 n_per_level: int,

@@ -63,10 +63,6 @@ class SensorArray:
             SensorBit(design, b, rail)
             for b in range(1, design.n_bits + 1)
         )
-        # code -> solved ladder.  The design and corner are frozen, so a
-        # code's rungs never change for the lifetime of the array; two
-        # threads racing on a first use store equal tuples.
-        self._ladders: dict[int, tuple[float, ...]] = {}
 
     @property
     def n_bits(self) -> int:
@@ -76,19 +72,13 @@ class SensorArray:
         """Per-bit thresholds in *effective supply* terms, ascending.
 
         Like a flash converter's reference ladder, the rungs are fixed
-        by the design and the code: each code is solved on first use
-        and the stored tuple is returned after that.
+        by the design, the corner and the code: the process-wide
+        :mod:`~repro.kernels.ladders` store solves each on first use
+        and returns the stored tuple after that.
         """
-        ladder = self._ladders.get(code)
-        if ladder is None:
-            from repro.kernels import threshold_grid
+        from repro.kernels import ladders
 
-            ladder = tuple(
-                float(v)
-                for v in threshold_grid(self.design, (code,), self.tech)[:, 0]
-            )
-            self._ladders[code] = ladder
-        return ladder
+        return ladders.ladder(self.design, code, self.tech)
 
     def rail_thresholds(self, code: int) -> tuple[float, ...]:
         """Per-bit thresholds in measured-rail terms.

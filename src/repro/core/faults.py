@@ -34,6 +34,7 @@ from repro.core.calibration import SensorDesign
 from repro.core.sensor import SenseRail
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError
+from repro.kernels import ladders
 from repro.sim.waveform import Waveform
 
 
@@ -205,8 +206,8 @@ class FaultInjector:
         expected_bits: tuple[int, ...] | None = None
         if reference_level is not None:
             expected_bits = tuple(
-                1 if reference_level > self.design.bit_threshold(b, code)
-                else 0
+                1 if reference_level
+                > ladders.bit_threshold(self.design, b, code) else 0
                 for b in range(1, self.design.n_bits + 1)
             )
             reference_failed = tuple(sense_bits) != expected_bits
@@ -264,7 +265,7 @@ def screen_suspects(injector: FaultInjector, *, code: int = 3,
     if margin <= 0:
         raise ConfigurationError("margin must be positive")
     design = injector.design
-    ts = [design.bit_threshold(b, code)
+    ts = [ladders.bit_threshold(design, b, code)
           for b in range(1, design.n_bits + 1)]
     suspects: set[int] = set()
     for level in (ts[0] - margin, ts[-1] + margin):
@@ -287,7 +288,7 @@ def coverage_study(design: SensorDesign, *,
     Returns:
         Coverage fraction per fault type plus ``"overall"``.
     """
-    ts = [design.bit_threshold(b, code)
+    ts = [ladders.bit_threshold(design, b, code)
           for b in range(1, design.n_bits + 1)]
     low_level = ts[0] - 0.05
     high_level = ts[-1] + 0.05

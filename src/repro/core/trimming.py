@@ -29,6 +29,7 @@ from repro.core.calibration import SensorDesign
 from repro.devices.corners import ProcessCorner
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError
+from repro.kernels import ladders
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ class TrimmingPolicy:
                ) -> tuple[float, float]:
         window_tech = None if self.pg_tracks_corner else self.design.tech
         return (
-            self.design.bit_threshold(1, code, tech,
-                                      window_tech=window_tech),
-            self.design.bit_threshold(self.design.n_bits, code, tech,
-                                      window_tech=window_tech),
+            ladders.bit_threshold(self.design, 1, code, tech,
+                                  window_tech=window_tech),
+            ladders.bit_threshold(self.design, self.design.n_bits, code,
+                                  tech, window_tech=window_tech),
         )
 
     @staticmethod

@@ -45,6 +45,13 @@ produces bit-identical floats to evaluating the whole grid in one call
 masking).  This is what lets the process-pool path (one die per task)
 and the batched serial path share results exactly.
 
+Fixed ladders are memoized in exactly one place, the ladder store
+(:mod:`repro.kernels.ladders`): each (design, code, corner, dtype)
+ladder, per-die lot row and scalar oracle threshold is solved once
+per process and returned as the solver's own floats.  The kernels
+above and the scalar oracles stay plain solvers that solve on every
+call.
+
 A third, raw-speed tier removes redundant work without touching the
 contract:
 

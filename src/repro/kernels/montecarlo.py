@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.kernels import ladders
 from repro.kernels.delay_law import voltage_factor_grid
 from repro.runtime.profiling import phase
 
@@ -218,20 +219,19 @@ def s_curve_levels(design: "SensorDesign", *, code: int,
     (the in-tree Brent solver, ``==`` to scipy's ``brentq``), not the
     vectorized solver: the sweep grid must equal the scalar oracle's
     float for float so the noisy draws — which add to these levels —
-    coincide exactly.  O(bits) root solves are
-    negligible against the draw cube.
+    coincide exactly.  Each center is read from the
+    :mod:`~repro.kernels.ladders` store: a scalar solve costs about as
+    much as a small draw cube, so it is not negligible on the serving
+    path.
 
     Returns:
         ``(n_sel_bits, n_levels)`` nominal levels, volts.
     """
     idx = _bits_array(design, bits)
     half = span_sigmas * noise_rms
-    return np.stack([
-        np.linspace(design.bit_threshold(int(b), code) - half,
-                    design.bit_threshold(int(b), code) + half,
-                    n_levels)
-        for b in idx
-    ])
+    centers = [ladders.bit_threshold(design, int(b), code) for b in idx]
+    return np.stack([np.linspace(c - half, c + half, n_levels)
+                     for c in centers])
 
 
 def s_curve_trip_probability(

@@ -134,36 +134,17 @@ def _pooled_backend(spec: str) -> "SensorBackend":
     return backend
 
 
-@functools.lru_cache(maxsize=16)
-def _nominal_ladder(code: int) -> tuple[float, ...]:
-    """Nominal ascending VDD-n decode ladder for ``code`` (kernel
-    tier; one solve per process, then O(1) decodes)."""
-    from repro.kernels import threshold_grid
-
-    design = paper_design()
-    grid = threshold_grid(design, (code,), None)[:, 0]
-    return tuple(float(v) for v in grid)
-
-
-def _decode_level_word(word_bits: np.ndarray, code: int) -> dict:
-    """Word bits -> response fragment with the decoded range (the
-    scalar reference for :func:`_decode_word_batch`)."""
-    from repro.analysis.thermometer import ThermometerWord, decode_word
-
-    word = ThermometerWord(tuple(int(b) for b in word_bits))
-    rng = decode_word(word, _nominal_ladder(code), strict=False)
-    return {"word": word.to_string(), "lo": rng.lo, "hi": rng.hi}
-
-
 def _decode_word_batch(words: np.ndarray, code: int) -> list[dict]:
     """Fused decode of a measure batch: one ladder gather for every
     row instead of a ``ThermometerWord`` round trip per row.  Word
-    strings keep the raw (possibly bubbled) bits; the bounds match
-    :func:`_decode_level_word` exactly (ones-count decode)."""
-    from repro.kernels import decode_word_rows
+    strings keep the raw (possibly bubbled) bits; the bounds are the
+    lenient ones-count decode of
+    :func:`~repro.analysis.thermometer.decode_word`."""
+    from repro.kernels import decode_word_rows, ladders
 
     rows = np.asarray(words)
-    _, lo, hi = decode_word_rows(_nominal_ladder(code), rows)
+    _, lo, hi = decode_word_rows(ladders.ladder(paper_design(), code),
+                                 rows)
     return [
         {"word": "".join(str(int(b)) for b in row[::-1]),
          "lo": float(a), "hi": float(b)}
@@ -337,10 +318,10 @@ def execute_job(payload: dict,
         # Fused decode-quality stats: which dies keep an ascending
         # ladder, and how often a die would emit a bubbled word when
         # probed at the nominal inter-rung midpoints.
-        from repro.kernels import decode_counts
+        from repro.kernels import decode_counts, ladders
 
         monotone = np.all(np.diff(table, axis=1) > 0, axis=1)
-        ladder = np.asarray(_nominal_ladder(code))
+        ladder = np.asarray(ladders.ladder(design, code))
         mids = 0.5 * (ladder[:-1] + ladder[1:])
         if mids.size:
             _, bubbled = decode_counts(mids[None, :], table[:, None, :])

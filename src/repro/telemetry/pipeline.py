@@ -151,7 +151,7 @@ class TelemetryPipeline:
             raise ConfigurationError(
                 f"capacity ({capacity}) must be at least chunk ({chunk})"
             )
-        from repro.kernels import threshold_grid
+        from repro.kernels import ladders
 
         self.design = design
         self.code = code
@@ -161,9 +161,8 @@ class TelemetryPipeline:
         self.policy = OverflowPolicy.parse(policy)
         self.quantile_qs = tuple(quantiles)
         n = design.n_bits
-        self.ladder = np.asarray(
-            threshold_grid(design, (code,), tech)[:, 0], dtype=float
-        )
+        self.ladder = np.asarray(ladders.ladder(design, code, tech),
+                                 dtype=float)
         self.enter_rung = (max(0, n // 3) if enter_rung is None
                            else int(enter_rung))
         self.exit_rung = (min(n, self.enter_rung + 2)

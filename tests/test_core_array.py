@@ -189,16 +189,18 @@ def test_array_measure_rejects_bad_code(arr):
 
 @pytest.fixture()
 def solve_counter(monkeypatch):
-    import repro.kernels
+    """Ladder solves made through a cold ladder store."""
+    from repro.kernels import ladders
 
+    ladders.clear()
     calls = []
-    solve = repro.kernels.threshold_grid
+    solve = ladders.threshold_grid
 
     def counted(*args, **kwargs):
         calls.append(args[1] if len(args) > 1 else kwargs.get("codes"))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(repro.kernels, "threshold_grid", counted)
+    monkeypatch.setattr(ladders, "threshold_grid", counted)
     return calls
 
 

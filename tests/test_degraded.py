@@ -146,16 +146,17 @@ def test_masked_ladder_equals_subset_solve(design, mask, corner):
 
 def test_repeated_degraded_decodes_solve_each_code_once(design,
                                                         monkeypatch):
-    import repro.kernels
+    from repro.kernels import ladders
 
+    ladders.clear()
     calls = []
-    solve = repro.kernels.threshold_grid
+    solve = ladders.threshold_grid
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(repro.kernels, "threshold_grid", counted)
+    monkeypatch.setattr(ladders, "threshold_grid", counted)
     deg = DegradedArray(design, masked_bits=(3,))
     word = ThermometerWord((1, 1, 1, 1, 0, 0, 0))
     first = deg.decode(word, 3)
