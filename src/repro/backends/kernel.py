@@ -62,13 +62,12 @@ class KernelBackend(SensorBackend):
     def bit_thresholds(self, code: int, *,
                        bits: Iterable[int] | None = None
                        ) -> tuple[float, ...]:
-        dt = resolve_dtype()
-        rungs = ladders.ladder(self.design, code, self.tech, bits=bits,
-                               dtype=dt)
+        rungs = ladders.ladder(self.design, code, self.tech, bits=bits)
         if self.rail is SenseRail.VDD:
             return rungs
         # The GND flip runs in the solve's dtype, as on the grid.
-        grid = self.design.tech.vdd_nominal - np.asarray(rungs, dtype=dt)
+        grid = self.design.tech.vdd_nominal - np.asarray(
+            rungs, dtype=resolve_dtype())
         return tuple(float(v) for v in grid)
 
     def lot_thresholds(self, lot: Sequence["VariationSample"],

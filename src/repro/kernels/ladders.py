@@ -7,7 +7,7 @@ module is the only place such ladders are memoized.  It holds three
 kinds of entry in one bounded, least-recently-used table:
 
 * :func:`ladder` — a whole (nominal or corner) ladder, keyed by
-  ``(design, code, tech, window_tech, dtype)`` and solved by
+  ``(design, code, tech, dtype)`` and solved by
   :func:`~repro.kernels.thresholds.threshold_grid`;
 * :func:`die_ladders` — per-die rows of a variation lot, keyed by
   ``(design, sample, code, dtype)``; the missing rows of a call are
@@ -18,8 +18,8 @@ kinds of entry in one bounded, least-recently-used table:
   :meth:`~repro.core.calibration.SensorDesign.bit_threshold`, keyed by
   ``(design, bit, code, tech, window_tech)``.
 
-Every key is made of frozen values and ``dtype`` is the *resolved*
-kernel dtype, so a float32 ``$REPRO_KERNEL_DTYPE`` call never reads
+Every key is made of frozen values and ``dtype`` is the kernel dtype
+the store resolves from ``$REPRO_KERNEL_DTYPE`` at each call, so a float32 ``$REPRO_KERNEL_DTYPE`` call never reads
 float64 rungs.  Entries are the solver's own floats, returned as
 tuples, Python floats or read-only arrays: no caller can change a
 stored rung, and every output stays bit-identical to a fresh solve.
@@ -51,9 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.devices.technology import Technology
     from repro.devices.variation import VariationSample
 
-#: Entries kept before the least recently used one is evicted.  A
-#: serving fleet needs at most ``dies x 8`` die rows plus a few dozen
-#: ladders and scalars; a paper pass stays in the low hundreds.
+#: Entries kept before the least recently used one is evicted.  The
+#: e2ebench workloads end with 10 entries after a ``serve`` round, 147
+#: after a ``paper`` pass and 1,008 after a ``campaign`` run, 1,000 of
+#: them the die rows of its 1,000-die ``yield_study`` stage.  A yield
+#: lot of more dies than this on a named backend pushes every other
+#: entry out, to be solved again on its next read.  Each entry holds
+#: at most one ladder's ``bits`` floats.
 MAX_ENTRIES = 4096
 
 _MISSING = object()
@@ -105,21 +109,18 @@ def size() -> int:
 
 def ladder(design: "SensorDesign", code: int,
            tech: "Technology | None" = None, *,
-           window_tech: "Technology | None" = None,
-           bits: Iterable[int] | None = None,
-           dtype: "np.dtype | str | None" = None) -> tuple[float, ...]:
+           bits: Iterable[int] | None = None) -> tuple[float, ...]:
     """The (bits x 1) :func:`threshold_grid` column for ``code``, volts.
 
     The whole ladder is solved on first use; the same tuple is returned
     after that.  ``bits`` selects rungs from it, which batch invariance
     makes equal to solving those bits alone.
     """
-    dt = resolve_dtype(dtype)
-    key = ("ladder", design, code, tech, window_tech, dt.name)
+    dt = resolve_dtype()
+    key = ("ladder", design, code, tech, dt.name)
     rungs = _get(key)
     if rungs is _MISSING:
-        grid = threshold_grid(design, (code,), tech,
-                              window_tech=window_tech, dtype=dt)
+        grid = threshold_grid(design, (code,), tech, dtype=dt)
         rungs = _put(key, tuple(grid[:, 0].tolist()))
     if bits is None:
         return rungs
@@ -127,22 +128,24 @@ def ladder(design: "SensorDesign", code: int,
 
 
 def die_ladders(design: "SensorDesign",
-                lot: Sequence["VariationSample"], code: int, *,
-                dtype: "np.dtype | str | None" = None) -> np.ndarray:
+                lot: Sequence["VariationSample"], code: int
+                ) -> np.ndarray:
     """Read-only (dies x bits) :func:`lot_threshold_grid` table, volts.
 
     Rows already stored are read; the rest are solved together in one
-    batch and stored row by row.
+    batch and stored row by row, each as its own copy, so a stored row
+    holds ``bits`` floats and never keeps the batch array alive.
     """
-    dt = resolve_dtype(dtype)
+    dt = resolve_dtype()
     keys = [("die", design, sample, code, dt.name) for sample in lot]
     rows = [_get(key) for key in keys]
     missing = [i for i, row in enumerate(rows) if row is _MISSING]
     if missing:
         grid = lot_threshold_grid(design, [lot[i] for i in missing],
                                   code, dtype=dt)
-        grid.flags.writeable = False
         for i, row in zip(missing, grid):
+            row = row.copy()
+            row.flags.writeable = False
             rows[i] = _put(keys[i], row)
     table = np.stack(rows)
     table.flags.writeable = False
