@@ -1,25 +1,28 @@
 """Campaign-scheduler perf regression: the tracked BENCH_campaign.json.
 
-Two DAG shapes through :func:`~repro.campaign.run_campaign`, gated on
-bit-identity *before* any timing claim:
+Three DAG shapes through :func:`~repro.campaign.run_campaign`, gated
+on bit-identity *before* any timing claim; each workload names what
+bounds it:
 
-* ``wide_dag`` — eight mutually independent ``synthetic`` stages (each
-  emulating an instrument dwell, the latency shape real corner/cap/
-  yield stages have: pool dispatch, subprocess waits, measurement
-  settling) plus one join stage needing all eight.  Serial pays the
+* ``wide_dag`` (``"bound": "latency"``) — eight mutually independent
+  ``synthetic`` stages, each emulating an instrument dwell by
+  sleeping, plus one join stage needing all eight.  Serial pays the
   dwells end to end; the ready-set scheduler overlaps them across its
-  stage-worker pool, so the expected speedup on 4 workers is ~wave
-  count: ``8 dwells / ceil(8/4) waves`` ≈ 3-4x.  Gate:
+  stage processes, so the expected speedup on 4 workers is ~wave
+  count: ``8 dwells / ceil(8/4) waves`` ≈ 3-4x — on any host,
+  because the stages sleep rather than compute.  Gate:
   :func:`~repro.campaign.diff_campaign` between the serial and
   parallel trees at ``float_tol=0`` reports zero divergences.
-* ``chain_dag`` — six stages in a straight dependency chain: zero
-  exploitable parallelism, so ``parallel - serial`` wall-clock is the
-  scheduler's pure bookkeeping overhead (thread-pool spin-up, ready-set
-  scans, future wakeups).  Same bit-identity gate.
-
-Dwell-based synthetic stages keep the bench honest on small CI boxes:
-the claim under test is *latency overlap by the scheduler*, not CPU
-parallelism, so the numbers hold on a single-core runner.
+* ``chain_dag`` (``"bound": "latency"``) — six sleeping stages in a
+  straight dependency chain: zero exploitable parallelism, so
+  ``parallel - serial`` wall-clock is the scheduler's pure overhead
+  (stage-process start, pickling, ready-set scans).  Same gate.
+* ``cpu_bound`` (``"bound": "cpu"``) — the nine kernel-backend stages
+  of ``e2ebench/campaign_cpu.toml`` (telemetry stream, threshold
+  sweeps, ladder, cap sweep, lot, s-curves, fault screen), read as
+  committed.  The stages compute, so the parallel speed-up is bounded
+  by the host's CPUs; the report records ``cpu_count`` next to it and
+  the number holds only for that count.  Same gate.
 
 Every timed call runs cold — fresh out dir and cache root per
 invocation — so resume hits can never flatter either side.
@@ -34,8 +37,10 @@ tracked repo-root copy.
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import tempfile
+import tomllib
 from pathlib import Path
 from typing import Any
 
@@ -48,9 +53,13 @@ from repro.campaign import (
     spec_from_mapping,
 )
 
-#: Stage-worker pool width the parallel legs run with (the acceptance
-#: criterion's "4 workers").
+#: Stage-worker pool width the parallel legs of the sleeping DAGs run
+#: with (the acceptance criterion's "4 workers").
 STAGE_WORKERS = 4
+
+#: The CPU-bound twin: nine kernel-backend stages on two stage workers.
+CPU_SPEC = Path(__file__).resolve().parents[1] / "e2ebench" \
+    / "campaign_cpu.toml"
 
 
 def _wide_spec(n_stages: int, dwell_ms: float, join_dwell_ms: float):
@@ -109,6 +118,12 @@ def _chain_spec(n_stages: int, dwell_ms: float):
     }, source="<bench>")
 
 
+def _cpu_spec():
+    """``e2ebench/campaign_cpu.toml`` as committed."""
+    return spec_from_mapping(tomllib.loads(CPU_SPEC.read_text()),
+                             source=str(CPU_SPEC))
+
+
 def _run_cold(spec, execution: str, out_dir: Path | None = None) -> None:
     """One cold campaign run: fresh out dir + cache, no resume hits.
 
@@ -131,8 +146,8 @@ def _run_cold(spec, execution: str, out_dir: Path | None = None) -> None:
 def _parity_gate(spec, work: Path) -> int:
     """Serial vs parallel at float_tol=0; returns stages compared."""
     _run_cold(spec, "serial", work / "serial")
-    _run_cold(spec, "threads", work / "threads")
-    report = diff_campaign(work / "threads", work / "serial",
+    _run_cold(spec, "parallel", work / "parallel")
+    report = diff_campaign(work / "parallel", work / "serial",
                            float_tol=0.0)
     assert report.ok, [str(d) for d in report.divergences]
     return len(report.compared_stages)
@@ -149,41 +164,45 @@ def run(*, smoke: bool = False, repeats: int = 2,
 
     wide = _wide_spec(n_wide, dwell_ms, join_ms)
     chain = _chain_spec(n_chain, chain_ms)
+    cpu = _cpu_spec()
 
     gate_dir = Path(tempfile.mkdtemp(prefix="bench-campaign-gate-"))
     try:
         wide_compared = _parity_gate(wide, gate_dir / "wide")
         chain_compared = _parity_gate(chain, gate_dir / "chain")
+        cpu_compared = _parity_gate(cpu, gate_dir / "cpu")
     finally:
         shutil.rmtree(gate_dir, ignore_errors=True)
 
+    def both(spec) -> dict[str, Any]:
+        return {mode: time_workload(lambda m=mode: _run_cold(spec, m),
+                                    repeats=repeats, warmup=0)
+                for mode in ("serial", "parallel")}
+
     workloads: dict[str, Any] = {
         "wide_dag": {
-            "serial": time_workload(
-                lambda: _run_cold(wide, "serial"),
-                repeats=repeats, warmup=0,
-            ),
-            "parallel": time_workload(
-                lambda: _run_cold(wide, "threads"),
-                repeats=repeats, warmup=0,
-            ),
+            **both(wide),
+            "bound": "latency",
             "grid": {"independent_stages": n_wide, "join_stages": 1,
                      "dwell_ms": dwell_ms,
                      "stage_workers": STAGE_WORKERS},
             "stages_compared": wide_compared,
         },
         "chain_dag": {
-            "serial": time_workload(
-                lambda: _run_cold(chain, "serial"),
-                repeats=repeats, warmup=0,
-            ),
-            "parallel": time_workload(
-                lambda: _run_cold(chain, "threads"),
-                repeats=repeats, warmup=0,
-            ),
+            **both(chain),
+            "bound": "latency",
             "grid": {"chain_stages": n_chain, "dwell_ms": chain_ms,
                      "stage_workers": STAGE_WORKERS},
             "stages_compared": chain_compared,
+        },
+        "cpu_bound": {
+            **both(cpu),
+            "bound": "cpu",
+            "cpu_count": os.cpu_count(),
+            "grid": {"spec": "e2ebench/campaign_cpu.toml",
+                     "stages": len(cpu.stages),
+                     "stage_workers": cpu.stage_workers},
+            "stages_compared": cpu_compared,
         },
     }
     for w in workloads.values():
@@ -202,24 +221,28 @@ def run(*, smoke: bool = False, repeats: int = 2,
             "float_tol": 0.0,
             "wide_stages_compared": wide_compared,
             "chain_stages_compared": chain_compared,
+            "cpu_stages_compared": cpu_compared,
             "divergences": 0,
         },
     }
     write_bench_json("BENCH_campaign", payload, out=out)
 
     rows = [
-        [name,
+        [name, w["bound"],
          f"{w['serial']['best_s'] * 1e3:.0f}",
          f"{w['parallel']['best_s'] * 1e3:.0f}",
          f"{w['speedup']:.2f}x"]
         for name, w in workloads.items()
     ]
     emit("campaign_perf", fmt_rows(
-        ["workload", "serial ms", "parallel ms", "speedup"], rows,
+        ["workload", "bound", "serial ms", "parallel ms", "speedup"],
+        rows,
     ) + (
         f"\nchain overhead: "
         f"{workloads['chain_dag']['scheduler_overhead_s'] * 1e3:+.0f}ms "
         f"(parallel minus serial on a no-parallelism DAG)"
+        f"\ncpu_bound speedup holds for cpu_count="
+        f"{workloads['cpu_bound']['cpu_count']} only"
         "\ngate: serial-vs-parallel diff_campaign at float_tol=0, "
         "zero divergences"
     ))

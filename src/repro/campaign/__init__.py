@@ -22,9 +22,9 @@ it repeatably.  This package is that layer for the reproduction:
   (spec hash + design/backend fingerprint), so a SIGKILLed campaign
   re-invoked with the same spec finishes from cache bit-identically;
 * :mod:`~repro.campaign.scheduler` — the ready-set stage executor
-  that fans independent DAG stages across a bounded thread pool or a
-  ``repro.service`` job server, with recording replayed in serial
-  topo order so every mode's manifest is bit-identical;
+  that runs independent DAG stages in a bounded pool of stage
+  processes, with recording replayed in serial topo order so every
+  mode's manifest is bit-identical;
 * :mod:`~repro.campaign.manifest` — the provenance manifest (spec
   hash, engine versions, per-stage timings/counters/artifacts);
 * :mod:`~repro.campaign.diff` — golden-result diffing separating

@@ -5,13 +5,13 @@ Execution model
 
 Stage execution is delegated to the campaign scheduler
 (:mod:`repro.campaign.scheduler`): a ready-set executor over the
-spec's DAG that dispatches every stage whose ``needs`` are satisfied
-across a bounded stage-worker pool (``execution = "threads"``, the
-default), one at a time (``"serial"``, the oracle), or as
-``campaign_stage`` jobs on a ``repro.service`` job server
-(``"service"``).  Recording is *not* delegated: the runner replays
-the serial skip/abort walk over the scheduler's outcomes in topo
-order (:func:`~repro.campaign.scheduler.finalize_records`), so the
+spec's DAG that runs every stage whose ``needs`` are satisfied in a
+bounded pool of stage processes (``execution = "parallel"``, the
+default; ``"threads"`` is its legacy spelling) or one at a time in
+this process (``"serial"``, the oracle).  Recording is *not*
+delegated: the runner replays the serial skip/abort walk over the
+scheduler's outcomes in topo order
+(:func:`~repro.campaign.scheduler.finalize_records`), so the
 manifest is bit-identical across execution modes — same records in
 the same order, same stage-cache keys, same resume behaviour.
 
@@ -41,13 +41,14 @@ runner vandalizes task-cache entries up front
 seeded monkey to the stages for worker-kill injection, and *bypasses
 stage-cache reads* — a drill must actually re-execute its sweeps to
 prove the runtime heals; the task cache underneath still does the
-heavy lifting, which is exactly the claim under test.
+heavy lifting, which is exactly the claim under test.  Chaos drills
+(and ``kill_after_puts``) run ``serial``: the armed cache and the
+monkey's kill budget live in this process.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -62,11 +63,13 @@ from repro.campaign.manifest import (
 from repro.campaign.scheduler import (
     execute_outcomes,
     finalize_records,
-    hosted_service,
     resolve_stage_workers,
-    service_stage_runner,
 )
-from repro.campaign.schema import CAMPAIGN_SCHEMA, EXECUTION_MODES
+from repro.campaign.schema import (
+    CAMPAIGN_SCHEMA,
+    EXECUTION_MODES,
+    execution_mode,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.stages import NONDETERMINISTIC_KINDS, StageContext
 from repro.errors import CampaignError
@@ -154,8 +157,7 @@ def run_campaign(spec: CampaignSpec, *, out_dir: str | Path,
                  cache: ResultCache | str | None = None,
                  kill_after_puts: int | None = None,
                  execution: str | None = None,
-                 stage_workers: int | None = None,
-                 service: str | None = None) -> CampaignRun:
+                 stage_workers: int | None = None) -> CampaignRun:
     """Execute (or resume) a campaign; write results + manifest.
 
     Args:
@@ -171,18 +173,14 @@ def run_campaign(spec: CampaignSpec, *, out_dir: str | Path,
             ``out_dir``; see
             :class:`~repro.runtime.chaos.KillAfterPuts`).
         execution: Override the spec's ``runtime.execution`` mode
-            (``serial`` / ``threads`` / ``service``); None keeps the
-            spec's choice.  Chaos drills (an active ``[chaos]`` block
-            or ``kill_after_puts``) force ``service`` down to
-            ``threads`` — the armed cache and the seeded monkey live
-            in *this* process, and shipping their stages elsewhere
-            would defuse the drill.
+            (``serial`` / ``parallel``; ``threads`` reads as
+            ``parallel``); None keeps the spec's choice.  Chaos drills
+            (an active ``[chaos]`` block or ``kill_after_puts``) run
+            ``serial`` — the armed cache and the seeded monkey live in
+            *this* process, and a stage process would defuse the
+            drill.
         stage_workers: Override the spec's ``runtime.stage_workers``
-            pool width (0/None = default).
-        service: Address of a running job server for
-            ``execution = "service"`` (e.g. ``unix:/run/repro.sock``);
-            None self-hosts a ``repro serve`` subprocess for the
-            duration of the run.
+            stage-process count (0/None = default).
 
     Returns:
         The :class:`CampaignRun`; ``run.ok`` is the pass/fail verdict
@@ -239,38 +237,20 @@ def run_campaign(spec: CampaignSpec, *, out_dir: str | Path,
     records: list[StageRecord] = []
     started = time.time()
 
-    mode = spec.execution if execution is None else execution
+    mode = execution_mode(spec.execution if execution is None
+                          else execution)
     if mode not in EXECUTION_MODES:
         raise CampaignError(
             f"unknown execution mode {mode!r} "
             f"(expected one of {EXECUTION_MODES})"
         )
-    # Chaos drills pin execution to this process: the armed
-    # KillAfterPuts budget and the seeded monkey's kill counters live
-    # on the one shared StageContext, so stages must share it (and
-    # must not be shipped to a job server).
-    share_ctx = monkey is not None or kill_after_puts is not None
-    if share_ctx and mode == "service":
-        mode = "threads"
-
-    if mode == "service":
-        host = hosted_service(spec.backend) if service is None \
-            else nullcontext(service)
-        with host as address:
-            outcomes = execute_outcomes(
-                spec, ctx, stage_store=stage_store,
-                fingerprint=fingerprint, execution="threads",
-                stage_workers=resolve_stage_workers(spec, stage_workers),
-                share_ctx=share_ctx,
-                run_one=service_stage_runner(address),
-            )
-    else:
-        outcomes = execute_outcomes(
-            spec, ctx, stage_store=stage_store,
-            fingerprint=fingerprint, execution=mode,
-            stage_workers=resolve_stage_workers(spec, stage_workers),
-            share_ctx=share_ctx,
-        )
+    if monkey is not None or kill_after_puts is not None:
+        mode = "serial"
+    outcomes = execute_outcomes(
+        spec, ctx, stage_store=stage_store, fingerprint=fingerprint,
+        execution=mode,
+        stage_workers=resolve_stage_workers(spec, stage_workers),
+    )
 
     # Recording replays the serial walk over the outcomes, so the
     # manifest below is bit-identical no matter which mode ran.

@@ -3,34 +3,43 @@ spec's DAG.
 
 :func:`execute_outcomes` walks :meth:`~repro.campaign.spec.
 CampaignSpec.topo_order` and dispatches every stage whose ``needs``
-are all satisfied, in one of three execution modes:
+are all satisfied, in one of two execution modes:
 
-* ``serial`` — the oracle: one stage at a time, in topo order, exactly
-  the pre-scheduler runner loop;
-* ``threads`` (default) — a bounded in-process stage-worker pool.
-  Stage *threads* (not processes) so the chaos plumbing keeps its
-  semantics: an armed :class:`~repro.runtime.chaos.KillAfterPuts`
-  cache still SIGKILLs the campaign process from whichever stage
-  thread trips it, and the worker-kill budget stays on the one shared
-  :class:`~repro.campaign.stages.StageContext`.  Real overlap comes
-  from what stages actually spend wall-clock on — process-pool IPC,
-  subprocess waits, instrument dwell, NumPy releasing the GIL;
-* ``service`` — each stage is submitted as a ``campaign_stage`` job
-  to a ``repro.service`` job server (a running one via its address,
-  or a self-hosted ``repro serve`` subprocess for the duration of the
-  run), so campaign stages share the shard fleet, admission control
-  and circuit breaker with every other tenant.
+* ``serial`` — the oracle: one stage at a time, in topo order, every
+  stage body in the campaign process.  Chaos drills (an active
+  ``[chaos]`` block or an armed
+  :class:`~repro.runtime.chaos.KillAfterPuts`) always run serial: the
+  armed cache and the seeded monkey's kill budget live in the
+  campaign process, and the drill must trip them there;
+* ``parallel`` (default; ``threads`` is its legacy spelling) — each
+  stage body that misses the stage cache runs in a *stage process*,
+  on a :class:`~concurrent.futures.ProcessPoolExecutor` of
+  ``stage_workers`` created at the first miss, so a fully resumed run
+  starts no process.  Pure-Python stages hold the GIL, so threads
+  could not overlap them; processes can.  A stage process runs its
+  stage's inner maps serially (``workers=1``): the stage pool is the
+  campaign's only level of parallelism, and nested pools would only
+  over-subscribe the CPUs.
+
+Parent and stage process split each stage's work: the parent reads
+the stage cache, evaluates the checks and writes the stage cache; a
+stage process runs only the body and hands back its
+:class:`StageOutcome` and its :data:`~repro.runtime.profiling.PROFILER`
+delta, which the parent merges.  A stage process that dies (SIGKILL,
+OOM) breaks the pool; the scheduler then raises a
+:class:`~repro.errors.CampaignError` naming the in-flight stages, and
+a re-invocation resumes from the stages already stored.
 
 Bit-identity discipline
 -----------------------
 
-Execution and *recording* are decoupled.  Workers only read/write the
-(shared, on-disk) task and stage caches and produce
-:class:`StageOutcome` values; the runner then replays the serial
-runner's exact skip/abort bookkeeping in topo order over those
-outcomes (:func:`finalize_records`), so the manifest's stage records,
-statuses, artifacts and check verdicts are byte-identical to a serial
-run no matter what order stages completed in.
+Execution and *recording* are decoupled.  Stage bodies only
+read/write the (on-disk) task cache and produce :class:`StageOutcome`
+values; the runner then replays the serial runner's exact skip/abort
+bookkeeping in topo order over those outcomes
+(:func:`finalize_records`), so the manifest's stage records, statuses,
+artifacts and check verdicts are byte-identical to a serial run no
+matter what order stages completed in.
 
 Failure semantics mirror the serial loop precisely:
 
@@ -42,47 +51,36 @@ Failure semantics mirror the serial loop precisely:
 * ``on_fail = "continue"``: only transitive dependents of a failure
   are skipped; independent stages keep dispatching.
 
-Cache-counter hygiene: each clean stage gets its own
-:class:`~repro.runtime.cache.ResultCache` *instance* over the same
-root, so the per-stage ``task_cache_delta`` counters in the manifest
-stay exact under concurrency (instances share the on-disk entries and
-the per-root stats log).  Chaos/kill drills share the single armed
-instance instead — the drill's counters are volatile by definition.
+Cache counters: each stage process gets its own
+:class:`~repro.runtime.cache.ResultCache` instance over the task-cache
+root and flushes it before returning, so the per-stage
+``task_cache_delta`` in the manifest is exact and the root's lifetime
+counters see every stage.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, \
-    ThreadPoolExecutor, wait
-from contextlib import contextmanager
+    ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any
 
+from repro.campaign import stages as stage_kinds
 from repro.campaign.criteria import evaluate_checks
 from repro.campaign.spec import CampaignSpec, StageSpec
-from repro.campaign.stages import (
-    NONDETERMINISTIC_KINDS,
-    StageContext,
-    execute_stage,
-)
+from repro.campaign.stages import NONDETERMINISTIC_KINDS, StageContext
 from repro.errors import CampaignError, StageExecutionError
 from repro.runtime.cache import ResultCache, task_key
 from repro.runtime.profiling import PROFILER, phase
 
-#: Stage-worker pool size when the spec (and CLI) leave it at 0.
-#: Bounded and fixed — campaign overlap is latency-shaped (stages
-#: block on pools, subprocesses and instrument dwell), so the right
-#: default does not scale with core count.
+#: Stage processes when the spec and the CLI leave
+#: ``runtime.stage_workers`` at 0.  Fixed rather than sized to the
+#: host, so a spec starts the same processes everywhere: a CPU-bound
+#: campaign gains at most ``min(this, CPUs)``, a dwell-bound one (a
+#: stage waiting on a subprocess or an instrument) up to this many.
 DEFAULT_STAGE_WORKERS = 4
-
-#: How a stage body is run: ``(ctx, stage) -> (payload, volatile)``.
-StageRunner = Callable[[StageContext, StageSpec], tuple[dict, dict]]
 
 
 def resolve_stage_workers(spec: CampaignSpec,
@@ -115,105 +113,110 @@ class StageOutcome:
         return "ok" if all(c["ok"] for c in self.checks) else "failed"
 
 
-def _execute_stage_once(ctx: StageContext, stage: StageSpec, key: str,
-                        stage_store: ResultCache, *,
-                        bypass_stage_cache: bool,
-                        run_one: StageRunner,
-                        flush: bool) -> StageOutcome:
-    """One stage's execution body — the serial loop's inner block.
+def _counts(cache: ResultCache) -> tuple[int, int, int]:
+    return cache.hits, cache.misses, cache.errors
 
-    Identical bookkeeping in every mode: stage-cache read (unless the
-    run is a chaos drill), execute, stage-cache write, wall/CPU/cache
-    deltas into volatile.  Checks are *not* evaluated here — they need
-    the dependency payloads, which the caller owns.  CPU time is the
-    calling thread's own, so under ``threads`` a stage is not billed
-    for its siblings' work.
-    """
-    deterministic = stage.kind not in NONDETERMINISTIC_KINDS
+
+def _lookup(stage: StageSpec, key: str, stage_store: ResultCache, *,
+            bypass: bool) -> StageOutcome | None:
+    """Parent side: the stored outcome of a finished stage, or None
+    when its body must run.  Chaos drills (``bypass``) must re-execute
+    their sweeps, and nondeterministic kinds are never stored."""
+    if bypass or stage.kind in NONDETERMINISTIC_KINDS:
+        return None
     wall0, cpu0 = time.perf_counter(), time.thread_time()
-    stats0 = ctx.cache.stats()
-    resumed = False
-    error: str | None = None
-    payload = None
-    volatile: dict = {}
-
     with phase(f"campaign.stage.{stage.id}"):
-        if deterministic and not bypass_stage_cache:
-            hit, cached = stage_store.get(key)
-            if hit:
-                payload, resumed = cached, True
-        if payload is None:
-            try:
-                payload, volatile = run_one(ctx, stage)
-            except StageExecutionError as exc:
-                error = str(exc)
-            else:
-                if deterministic:
-                    stage_store.put(key, payload)
-
-    wall = time.perf_counter() - wall0
-    cpu = time.thread_time() - cpu0
-    stats1 = ctx.cache.stats()
-    volatile = dict(volatile)
-    volatile["task_cache_delta"] = {
-        k: stats1[k] - stats0[k]
-        for k in ("hits", "misses", "errors")
-    }
-    if flush:
-        # Per-stage cache instances die with the stage; flush so the
-        # manifest's lifetime counters (read from the on-disk stats
-        # log) still see their deltas.
-        ctx.cache.flush_stats()
+        hit, payload = stage_store.get(key)
+    if not hit:
+        return None
     return StageOutcome(
-        stage_id=stage.id, payload=payload, volatile=volatile,
-        error=error, resumed=resumed, wall_s=wall, cpu_s=cpu,
+        stage_id=stage.id, payload=payload, resumed=True,
+        volatile={"task_cache_delta": {"hits": 0, "misses": 0,
+                                       "errors": 0}},
+        wall_s=time.perf_counter() - wall0,
+        cpu_s=time.thread_time() - cpu0,
     )
 
 
-def _stage_ctx(ctx: StageContext, *, share: bool) -> StageContext:
-    """The context a stage runs under: the one shared (armed) context
-    during chaos/kill drills, else a clone with a private cache
-    instance over the same root (exact per-stage counters)."""
-    if share:
-        return ctx
-    return replace(ctx, cache=ResultCache(ctx.cache.root))
+def _store(stage: StageSpec, key: str, outcome: StageOutcome,
+           stage_store: ResultCache) -> None:
+    """Parent side: keep a freshly computed deterministic payload."""
+    if not outcome.resumed and outcome.error is None \
+            and stage.kind not in NONDETERMINISTIC_KINDS:
+        stage_store.put(key, outcome.payload)
+
+
+def _run_body(ctx: StageContext, stage: StageSpec) -> StageOutcome:
+    """Run one stage body where it is called — the campaign process
+    under ``serial``, a stage process under ``parallel``.  CPU time is
+    the calling thread's own."""
+    wall0, cpu0 = time.perf_counter(), time.thread_time()
+    counts0 = _counts(ctx.cache)
+    payload, volatile, error = None, {}, None
+    with phase(f"campaign.stage.{stage.id}"):
+        try:
+            # Looked up through the module, which a tracer may rebind.
+            payload, volatile = stage_kinds.execute_stage(ctx, stage)
+        except StageExecutionError as exc:
+            error = str(exc)
+    volatile = dict(volatile)
+    volatile["task_cache_delta"] = dict(zip(
+        ("hits", "misses", "errors"),
+        (b - a for a, b in zip(counts0, _counts(ctx.cache))),
+    ))
+    return StageOutcome(
+        stage_id=stage.id, payload=payload, volatile=volatile,
+        error=error, wall_s=time.perf_counter() - wall0,
+        cpu_s=time.thread_time() - cpu0,
+    )
+
+
+def _stage_process(ctx: StageContext, stage: StageSpec,
+                   profile: bool) -> tuple[StageOutcome, dict]:
+    """Stage-process entry: one body, then its outcome and the
+    profile phases it recorded."""
+    PROFILER.reset()
+    PROFILER.enabled = profile
+    try:
+        outcome = _run_body(ctx, stage)
+    finally:
+        # A pool worker never runs atexit hooks.
+        ctx.cache.flush_stats()
+    return outcome, PROFILER.snapshot()
 
 
 def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
                      stage_store: ResultCache, fingerprint: str,
                      execution: str, stage_workers: int,
-                     share_ctx: bool,
-                     run_one: StageRunner = execute_stage,
                      ) -> dict[str, StageOutcome]:
     """Run the campaign DAG; returns ``{stage_id: StageOutcome}``.
 
     Only stages the serial runner would execute are guaranteed an
-    outcome; under ``threads`` a stage dispatched before an abort
+    outcome; under ``parallel`` a stage dispatched before an abort
     barrier moved ahead of it may *also* carry an outcome — the
     finalization walk ignores it (its payload stays in the stage
     cache, ready for a later resume).
+
+    Raises:
+        CampaignError: unknown mode, or a stage process died.
     """
     bypass = ctx.monkey is not None
     if execution == "serial":
         return _execute_serial(spec, ctx, stage_store=stage_store,
-                               fingerprint=fingerprint,
-                               bypass=bypass, share_ctx=share_ctx,
-                               run_one=run_one)
-    if execution == "threads":
-        return _execute_threads(spec, ctx, stage_store=stage_store,
-                                fingerprint=fingerprint,
-                                workers=stage_workers, bypass=bypass,
-                                share_ctx=share_ctx, run_one=run_one)
+                               fingerprint=fingerprint, bypass=bypass)
+    if execution == "parallel":
+        return _execute_parallel(spec, ctx, stage_store=stage_store,
+                                 fingerprint=fingerprint,
+                                 workers=stage_workers, bypass=bypass)
     raise CampaignError(
         f"unknown execution mode {execution!r} "
-        f"(expected serial/threads/service)"
+        f"(expected serial/parallel)"
     )
 
 
 def _execute_serial(spec: CampaignSpec, ctx: StageContext, *,
                     stage_store: ResultCache, fingerprint: str,
-                    bypass: bool, share_ctx: bool,
-                    run_one: StageRunner) -> dict[str, StageOutcome]:
+                    bypass: bool) -> dict[str, StageOutcome]:
     """The oracle loop: exactly the pre-scheduler runner semantics."""
     outcomes: dict[str, StageOutcome] = {}
     payloads: dict[str, Any] = {}
@@ -226,28 +229,27 @@ def _execute_serial(spec: CampaignSpec, ctx: StageContext, *,
             failed_ids.add(stage_id)
             continue
         key = task_key("campaign-stage", fingerprint, stage_id)
-        outcome = _execute_stage_once(
-            _stage_ctx(ctx, share=share_ctx), stage, key, stage_store,
-            bypass_stage_cache=bypass, run_one=run_one,
-            flush=not share_ctx,
-        )
-        if outcome.error is None:
-            payloads[stage_id] = outcome.payload
-            outcome.checks = evaluate_checks(stage, outcome.payload,
-                                             payloads)
-        outcomes[stage_id] = outcome
-        if outcome.status != "ok":
-            failed_ids.add(stage_id)
-            if spec.on_fail == "abort":
-                aborted = True
+        outcome = _lookup(stage, key, stage_store, bypass=bypass) \
+            or _run_body(ctx, stage)
+        _store(stage, key, outcome, stage_store)
+        with phase("campaign.schedule"):
+            if outcome.error is None:
+                payloads[stage_id] = outcome.payload
+                outcome.checks = evaluate_checks(stage, outcome.payload,
+                                                 payloads)
+            outcomes[stage_id] = outcome
+            if outcome.status != "ok":
+                failed_ids.add(stage_id)
+                if spec.on_fail == "abort":
+                    aborted = True
     return outcomes
 
 
-def _execute_threads(spec: CampaignSpec, ctx: StageContext, *,
-                     stage_store: ResultCache, fingerprint: str,
-                     workers: int, bypass: bool, share_ctx: bool,
-                     run_one: StageRunner) -> dict[str, StageOutcome]:
-    """Ready-set dispatch across a bounded stage-thread pool.
+def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
+                      stage_store: ResultCache, fingerprint: str,
+                      workers: int, bypass: bool
+                      ) -> dict[str, StageOutcome]:
+    """Ready-set dispatch of stage bodies to stage processes.
 
     Invariants that make the later serial-semantics replay sound:
 
@@ -262,10 +264,15 @@ def _execute_threads(spec: CampaignSpec, ctx: StageContext, *,
     * a stage whose dependency failed/errored/was skipped is decided
       ``skipped`` without dispatching (both modes; under abort the
       barrier implies it).
+
+    A ready stage found in the stage cache settles right here in the
+    parent; only a miss reaches the pool.
     """
     order = spec.topo_order()
     pos = {sid: i for i, sid in enumerate(order)}
     stages = {sid: spec.stage(sid) for sid in order}
+    keys = {sid: task_key("campaign-stage", fingerprint, sid)
+            for sid in order}
     outcomes: dict[str, StageOutcome] = {}
     statuses: dict[str, str] = {}
     payloads: dict[str, Any] = {}
@@ -273,6 +280,11 @@ def _execute_threads(spec: CampaignSpec, ctx: StageContext, *,
     in_flight: dict[Future, str] = {}
     abort = spec.on_fail == "abort"
     abort_pos = len(order)
+    # Each stage process gets a fresh task-cache instance (exact
+    # per-stage counters) and runs its inner maps serially.
+    child_ctx = replace(ctx, cache=ResultCache(ctx.cache.root),
+                        inner_workers=1)
+    pool: ProcessPoolExecutor | None = None
 
     def settle(sid: str, outcome: StageOutcome) -> None:
         nonlocal abort_pos
@@ -285,7 +297,7 @@ def _execute_threads(spec: CampaignSpec, ctx: StageContext, *,
         if abort and outcome.status != "ok":
             abort_pos = min(abort_pos, pos[sid])
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    try:
         while waiting or in_flight:
             with phase("campaign.schedule"):
                 progressed = True
@@ -303,21 +315,21 @@ def _execute_threads(spec: CampaignSpec, ctx: StageContext, *,
                             # Fate already decided: the serial loop
                             # skips it too.  No outcome recorded.
                             statuses[sid] = "skipped"
-                            waiting.remove(sid)
-                            progressed = True
-                        elif all(s == "ok" for s in dep_states):
-                            key = task_key("campaign-stage",
-                                           fingerprint, sid)
-                            fut = pool.submit(
-                                _execute_stage_once,
-                                _stage_ctx(ctx, share=share_ctx),
-                                stage, key, stage_store,
-                                bypass_stage_cache=bypass,
-                                run_one=run_one, flush=not share_ctx,
-                            )
+                        elif any(s != "ok" for s in dep_states):
+                            continue  # a dependency is still running
+                        elif (hit := _lookup(stage, keys[sid],
+                                             stage_store,
+                                             bypass=bypass)) is not None:
+                            settle(sid, hit)
+                        else:
+                            if pool is None:
+                                pool = ProcessPoolExecutor(
+                                    max_workers=min(workers, len(order)))
+                            fut = pool.submit(_stage_process, child_ctx,
+                                              stage, PROFILER.enabled)
                             in_flight[fut] = sid
-                            waiting.remove(sid)
-                            progressed = True
+                        waiting.remove(sid)
+                        progressed = True
             if not in_flight:
                 if waiting:  # pragma: no cover - defensive
                     raise CampaignError(
@@ -332,7 +344,22 @@ def _execute_threads(spec: CampaignSpec, ctx: StageContext, *,
                 # and abort-barrier movement are deterministic even
                 # when several futures land in the same wake-up.
                 for fut in sorted(done, key=lambda f: pos[in_flight[f]]):
-                    settle(in_flight.pop(fut), fut.result())
+                    try:
+                        outcome, profile = fut.result()
+                    except BrokenProcessPool as exc:
+                        lost = sorted(in_flight.values(), key=pos.get)
+                        raise CampaignError(
+                            f"a stage process died with stage(s) "
+                            f"{lost} in flight; re-run the campaign "
+                            f"to resume from the stored stages"
+                        ) from exc
+                    sid = in_flight.pop(fut)
+                    PROFILER.merge(profile)
+                    _store(stages[sid], keys[sid], outcome, stage_store)
+                    settle(sid, outcome)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return outcomes
 
 
@@ -373,101 +400,3 @@ def finalize_records(spec: CampaignSpec,
             if spec.on_fail == "abort":
                 aborted = True
     return rows
-
-
-# -- service execution ---------------------------------------------------------
-
-
-def service_stage_runner(address: str, *,
-                         timeout: float = 600.0) -> StageRunner:
-    """A :data:`StageRunner` that ships each stage to a job server.
-
-    The stage-cache get/put, check evaluation and all skip/abort
-    bookkeeping stay client-side (identical resume semantics); only
-    the stage *body* crosses the wire, as a ``campaign_stage`` job
-    carrying the spec mapping.  Task caching happens server-side
-    against the same on-disk root, so a resumed campaign still
-    replays partial sweeps.
-    """
-    from repro.service.client import ServiceClient
-
-    def run_one(ctx: StageContext, stage: StageSpec) -> tuple[dict, dict]:
-        params = {
-            "spec": ctx.spec.to_mapping(),
-            "stage_id": stage.id,
-            "corner": ctx.spec.corner,
-            "out_dir": str(ctx.out_dir),
-            "cache_root": str(ctx.cache.root),
-        }
-        try:
-            with ServiceClient(address, timeout=timeout) as client:
-                response = client.request("campaign_stage",
-                                          params=params)
-        except Exception as exc:
-            raise StageExecutionError(
-                f"stage {stage.id!r} via service {address}: {exc}"
-            ) from exc
-        if response.get("status") != "ok":
-            detail = response.get("error") or response
-            raise StageExecutionError(
-                f"stage {stage.id!r} via service {address}: {detail}"
-            )
-        result = response.get("result") or {}
-        volatile = dict(result.get("volatile") or {})
-        volatile["service"] = {
-            "address": address,
-            "shard": response.get("shard"),
-            "attempts": response.get("attempts"),
-            "quality": response.get("quality"),
-        }
-        return result["payload"], volatile
-
-    return run_one
-
-
-@contextmanager
-def hosted_service(backend_spec: str, *,
-                   shards: int = 2,
-                   startup_timeout_s: float = 60.0) -> Iterator[str]:
-    """Self-host a ``repro serve`` subprocess for one campaign run.
-
-    Yields the ``unix:<socket>`` address; the server is terminated on
-    exit.  Used when ``execution = "service"`` without an explicit
-    server address — the campaign brings its own fleet.
-    """
-    src_root = Path(__file__).resolve().parents[2]
-    env = dict(
-        os.environ,
-        PYTHONPATH=f"{src_root}:{os.environ.get('PYTHONPATH', '')}",
-    )
-    # Unix socket paths cap at ~104 bytes; keep it in a short tempdir.
-    tmp = Path(tempfile.mkdtemp(prefix="campaign-sched-"))
-    sock = tmp / "svc.sock"
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--unix", str(sock),
-         "--backend", backend_spec, "--executor", "inline",
-         "--shards", str(shards)],
-        env=env, stdout=subprocess.DEVNULL,
-    )
-    try:
-        deadline = time.monotonic() + startup_timeout_s
-        while not sock.exists():
-            if server.poll() is not None:
-                raise CampaignError(
-                    f"hosted job server exited rc={server.returncode} "
-                    f"before opening its socket"
-                )
-            if time.monotonic() > deadline:
-                raise CampaignError(
-                    "hosted job server socket never appeared"
-                )
-            time.sleep(0.05)
-        yield f"unix:{sock}"
-    finally:
-        if server.poll() is None:
-            server.terminate()
-            try:
-                server.wait(timeout=30)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                server.kill()
-                server.wait(timeout=30)

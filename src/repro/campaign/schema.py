@@ -68,12 +68,17 @@ _FAILURE_POLICIES = ("raise", "partial")
 _ON_FAIL = ("abort", "continue")
 
 #: Stage-scheduler execution modes (see
-#: :mod:`repro.campaign.scheduler`): ``serial`` is the oracle loop,
-#: ``threads`` the bounded in-process stage-worker pool (default),
-#: ``service`` ships stage execution to a ``repro.service`` job
-#: server.  Excluded from the spec hash — scheduling never changes
-#: what a campaign computes.
-EXECUTION_MODES = ("serial", "threads", "service")
+#: :mod:`repro.campaign.scheduler`): ``serial`` runs every stage body
+#: in the campaign process, one at a time (the oracle); ``parallel``
+#: (default) runs them in stage processes.  Excluded from the spec
+#: hash — scheduling never changes what a campaign computes.
+EXECUTION_MODES = ("serial", "parallel")
+
+
+def execution_mode(mode: str) -> str:
+    """``mode`` with the legacy spelling ``threads`` read as
+    ``parallel``, which older specs and CLI calls still use."""
+    return "parallel" if mode == "threads" else mode
 
 
 def _fail(path: str, message: str, *, source: str) -> None:
@@ -270,7 +275,8 @@ def validate_spec_mapping(raw: Mapping[str, Any], *,
     if runtime.get("on_fail", "abort") not in _ON_FAIL:
         _fail("runtime.on_fail", f"must be one of {_ON_FAIL}",
               source=source)
-    if runtime.get("execution", "threads") not in EXECUTION_MODES:
+    if execution_mode(runtime.get("execution", "parallel")) \
+            not in EXECUTION_MODES:
         _fail("runtime.execution",
               f"must be one of {EXECUTION_MODES}", source=source)
 

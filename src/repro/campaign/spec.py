@@ -25,7 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.campaign.schema import CAMPAIGN_SCHEMA, validate_spec_mapping
+from repro.campaign.schema import (
+    CAMPAIGN_SCHEMA,
+    execution_mode,
+    validate_spec_mapping,
+)
 from repro.errors import CampaignSpecError
 from repro.runtime.cache import stable_hash
 
@@ -123,7 +127,7 @@ class CampaignSpec:
     task_timeout: float | None = None
     failure_policy: str = "raise"
     on_fail: str = "abort"
-    execution: str = "threads"
+    execution: str = "parallel"
     stage_workers: int = 0
     stages: tuple = ()
     chaos: ChaosSpec | None = None
@@ -138,58 +142,16 @@ class CampaignSpec:
         ``stage_workers``) are normalized out for the same reason —
         a serial run and its parallel twin must share the spec hash,
         the campaign fingerprint, and every stage-cache key, or
-        resume and golden diffing across modes would break.
+        resume and golden diffing across modes would break.  They
+        normalize to ``execution = "threads"``, the old default's
+        spelling, so every hash and stage key written before the mode
+        was renamed ``parallel`` still holds.
         """
         return stable_hash((
             CAMPAIGN_SCHEMA,
             dataclasses.replace(self, chaos=None, source="<spec>",
                                 execution="threads", stage_workers=0),
         ))
-
-    def to_mapping(self) -> dict[str, Any]:
-        """The raw ``campaign/v1`` mapping this spec freezes.
-
-        Round-trips: ``spec_from_mapping(spec.to_mapping())`` yields an
-        identical :meth:`spec_hash`.  The chaos block is deliberately
-        dropped — this is the wire form for shipping stages to a job
-        server (``execution = "service"``), and chaos drills stay
-        confined to the submitting process.
-        """
-        runtime: dict[str, Any] = {
-            "workers": self.workers,
-            "retries": self.retries,
-            "failure_policy": self.failure_policy,
-            "on_fail": self.on_fail,
-            "execution": self.execution,
-            "stage_workers": self.stage_workers,
-        }
-        if self.task_timeout is not None:
-            runtime["task_timeout"] = self.task_timeout
-        raw: dict[str, Any] = {
-            "schema": CAMPAIGN_SCHEMA,
-            "name": self.name,
-            "description": self.description,
-            "seed": self.seed,
-            "backend": {"spec": self.backend},
-            "runtime": runtime,
-            "stages": [
-                {
-                    "id": s.id,
-                    "kind": s.kind,
-                    "needs": list(s.needs),
-                    "params": s.params_dict(),
-                    "checks": [
-                        {"kind": c.kind,
-                         **{k: _thaw(v) for k, v in c.options}}
-                        for c in s.checks
-                    ],
-                }
-                for s in self.stages
-            ],
-        }
-        if self.corner is not None:
-            raw["design"] = {"corner": self.corner}
-        return raw
 
     def stage(self, stage_id: str) -> StageSpec:
         for stage in self.stages:
@@ -257,7 +219,7 @@ def spec_from_mapping(raw: Mapping[str, Any], *,
         task_timeout=float(timeout) if timeout is not None else None,
         failure_policy=runtime.get("failure_policy", "raise"),
         on_fail=runtime.get("on_fail", "abort"),
-        execution=runtime.get("execution", "threads"),
+        execution=execution_mode(runtime.get("execution", "parallel")),
         stage_workers=int(runtime.get("stage_workers", 0)),
         stages=stages,
         chaos=chaos,

@@ -93,6 +93,9 @@ class StageContext:
             by the first chaos-capable stage that runs tasks).
         vandalized: Cache entry paths (as strings) the runner's chaos
             pass corrupted — they exist on disk but will re-execute.
+        inner_workers: Pool width of the stage's own maps, overriding
+            ``runtime.workers``; a stage process sets 1, so the stage
+            pool is the campaign's only parallelism.
     """
 
     spec: CampaignSpec
@@ -104,13 +107,14 @@ class StageContext:
     monkey: ChaosMonkey | None = None
     kill_tasks: int = 0
     vandalized: tuple = ()
+    inner_workers: int | None = None
     _fingerprint: str | None = field(default=None, repr=False)
 
     def runtime_kwargs(self) -> dict[str, Any]:
         """The resilient-runtime knobs every sweep entry point takes."""
         spec = self.spec
         return {
-            "workers": spec.workers or None,
+            "workers": self.inner_workers or spec.workers or None,
             "retries": spec.retries,
             "task_timeout": spec.task_timeout,
             "failure_policy": spec.failure_policy,

@@ -768,7 +768,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         spec, out_dir=args.out, cache=args.cache_dir,
         kill_after_puts=args.chaos_kill_after,
         execution=args.execution, stage_workers=args.stage_workers,
-        service=args.service,
     )
     for record in run.records:
         flags = []
@@ -1005,26 +1004,24 @@ def build_parser() -> argparse.ArgumentParser:
                              "the Nth task-cache write (armed once "
                              "per out dir; re-invoke to resume)")
         pr.add_argument("--execution", default=None,
-                        choices=("serial", "threads", "service"),
+                        choices=("serial", "parallel", "threads"),
                         help="override runtime.execution: 'serial' "
-                             "(the oracle loop), 'threads' (bounded "
-                             "stage-worker pool, the default), or "
-                             "'service' (stages as job-server jobs); "
-                             "all three produce bit-identical "
-                             "manifests")
+                             "(the oracle loop, in this process) or "
+                             "'parallel' (stage bodies in stage "
+                             "processes, the default; 'threads' is "
+                             "its legacy spelling); both produce "
+                             "bit-identical manifests, and chaos "
+                             "drills always run serial")
         pr.add_argument("--stage-workers", type=int, default=None,
                         metavar="N",
-                        help="override runtime.stage_workers (pool "
-                             "width for concurrent stages; 0 = "
+                        help="override runtime.stage_workers (stage "
+                             "processes for concurrent stages; 0 = "
                              "default)")
-        pr.add_argument("--service", default=None, metavar="ADDR",
-                        help="job-server address for "
-                             "--execution service (host:port or "
-                             "unix:/path); omitted, the run "
-                             "self-hosts a 'repro serve' subprocess")
         pr.add_argument("--profile", action="store_true",
                         help="print the per-phase wall-time breakdown "
-                             "(campaign.stage.<id> per stage plus "
+                             "(campaign.stage.<id> per stage, the "
+                             "kernel and cache phases inside it, "
+                             "merged from stage processes, plus "
                              "campaign.schedule overhead) after the "
                              "run")
         pr.set_defaults(func=_cmd_campaign)
@@ -1134,11 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "by 'repro serve')")
     p.add_argument("kind",
                    choices=("ping", "measure", "characterize",
-                            "s_curve", "yield", "window",
-                            "campaign_stage"),
-                   help="request kind (campaign_stage wants the "
-                        "params the campaign scheduler ships: spec, "
-                        "stage_id, cache_root, out_dir)")
+                            "s_curve", "yield", "window"),
+                   help="request kind")
     p.add_argument("--params", default=None, metavar="JSON",
                    help="request parameters as a JSON object, e.g. "
                         "'{\"level\": 1.05, \"code\": 3}'")

@@ -53,8 +53,9 @@ class PhaseProfiler:
 
     enabled: bool = False
     phases: dict[str, PhaseStat] = field(default_factory=dict)
-    # Campaign stage threads report concurrently; ``+=`` on a stat is a
-    # read-modify-write that would otherwise lose increments.
+    # Threads (a job server's inline workers) report concurrently;
+    # ``+=`` on a stat is a read-modify-write that would otherwise lose
+    # increments.
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   init=False, repr=False, compare=False)
 
@@ -74,6 +75,14 @@ class PhaseProfiler:
             stat = self.phases.setdefault(name, PhaseStat())
             stat.calls += 1
             stat.seconds += seconds
+
+    def merge(self, snapshot: dict[str, tuple[int, float]]) -> None:
+        """Fold another process's :meth:`snapshot` into this one."""
+        with self._lock:
+            for name, (calls, seconds) in snapshot.items():
+                stat = self.phases.setdefault(name, PhaseStat())
+                stat.calls += calls
+                stat.seconds += seconds
 
     @contextmanager
     def measure(self, name: str) -> Iterator[None]:
@@ -96,7 +105,7 @@ class PhaseProfiler:
         """Human-readable breakdown, widest phase first.
 
         Phases may nest (``kernel.solve`` inside ``campaign.stage.*``)
-        and overlap (concurrent stage threads), so summed phase time is
+        and overlap (concurrent campaign stages), so summed phase time is
         not wall time: the report prints the two as separately labelled
         quantities.
 
@@ -145,8 +154,8 @@ PROFILER = PhaseProfiler()
 
 if hasattr(os, "register_at_fork"):
     # A forked pool worker inherits the lock in whatever state a parent
-    # stage thread left it; a lock held at the fork would never be
-    # released in the child.
+    # thread left it; a lock held at the fork would never be released
+    # in the child.
     os.register_at_fork(
         after_in_child=lambda: setattr(PROFILER, "_lock", threading.Lock())
     )

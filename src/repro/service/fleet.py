@@ -220,9 +220,6 @@ def execute_job(payload: dict,
     if kind == "ping":
         return {"pong": True}
 
-    if kind == "campaign_stage":
-        return _run_campaign_stage(params)
-
     code = int(params.get("code", 3))
     if not 0 <= code <= 7:
         raise ConfigurationError(f"code {code} outside 0..7")
@@ -379,61 +376,3 @@ def execute_job(payload: dict,
         }
 
     raise ConfigurationError(f"unknown job kind {kind!r}")
-
-
-def _run_campaign_stage(params: dict) -> dict:
-    """Execute one campaign stage body server-side.
-
-    The client (:func:`repro.campaign.scheduler.service_stage_runner`)
-    ships the full spec mapping plus a stage id; skip/abort
-    bookkeeping, stage-result memoization and check evaluation all
-    stay client-side — only the stage *body* runs here, against the
-    ``cache_root`` the client names, so a resumed campaign replays
-    partial sweeps no matter which side originally computed them.
-
-    The stage runs against the **spec's** backend, not whatever this
-    server was launched with: a campaign's answers must not depend on
-    which fleet happened to host it.  Stage failures surface as
-    :class:`~repro.errors.StageExecutionError` and ride back in the
-    response's error envelope.
-    """
-    from repro.backends import resolve_backend
-    from repro.campaign.spec import spec_from_mapping
-    from repro.campaign.stages import StageContext, execute_stage
-    from repro.runtime.cache import ResultCache
-
-    spec_raw = params.get("spec")
-    if not isinstance(spec_raw, dict):
-        raise ConfigurationError(
-            "campaign_stage wants params.spec (a campaign/v1 mapping)"
-        )
-    spec = spec_from_mapping(spec_raw, source="<service>")
-    stage_id = str(params.get("stage_id") or "")
-    cache_root = params.get("cache_root")
-    out_dir = params.get("out_dir")
-    if not stage_id or not cache_root or not out_dir:
-        raise ConfigurationError(
-            "campaign_stage wants stage_id, cache_root and out_dir"
-        )
-    stage = spec.stage(stage_id)
-
-    design = paper_design()
-    tech = None
-    if spec.corner is not None:
-        from repro.devices.corners import corner_by_name
-
-        tech = corner_by_name(spec.corner).apply(design.tech)
-    cache = ResultCache(Path(cache_root))
-    ctx = StageContext(
-        spec=spec, design=design, tech=tech,
-        backend=resolve_backend(spec.backend), cache=cache,
-        out_dir=Path(out_dir),
-    )
-    try:
-        payload, volatile = execute_stage(ctx, stage)
-    finally:
-        # The client reads lifetime cache counters from the shared
-        # stats log; a server-side stage must leave its marks there.
-        cache.flush_stats()
-    return {"stage_id": stage_id, "payload": payload,
-            "volatile": volatile}

@@ -39,7 +39,7 @@ SERVICE_PROTOCOL = "service/v1"
 
 #: Request kinds the dispatcher understands.
 REQUEST_KINDS = ("ping", "measure", "characterize", "s_curve", "yield",
-                 "window", "campaign_stage")
+                 "window")
 
 #: Terminal qualities.
 QUALITIES = ("full", "cached", "degraded", "rejected")

@@ -1,12 +1,17 @@
 """Campaign scheduler: parallel-vs-serial bit-identity, failure
-semantics, service execution, and stats-log compaction."""
+semantics, stage processes, and stats-log compaction."""
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -16,11 +21,15 @@ from hypothesis import strategies as st
 from repro.campaign import (
     CAMPAIGN_SCHEMA,
     EXECUTION_MODES,
+    STAGE_KINDS,
+    diff_campaign,
     read_manifest,
     run_campaign,
     spec_from_mapping,
 )
-from repro.errors import CampaignSpecError
+from repro.errors import CampaignError, CampaignSpecError
+
+DATA = Path(__file__).parent / "data" / "campaigns"
 
 # -- helpers --------------------------------------------------------------
 
@@ -69,13 +78,13 @@ def stripped(manifest):
 
 
 def run_both(stages, **runtime):
-    """The same spec through the serial oracle and the thread
+    """The same spec through the serial oracle and the stage-process
     scheduler, each in a cold tree; returns both manifests."""
     spec = make_spec(stages, **runtime)
     work = Path(tempfile.mkdtemp(prefix="sched-prop-"))
     try:
         run_campaign(spec, out_dir=work / "ser", execution="serial")
-        run_campaign(spec, out_dir=work / "par", execution="threads",
+        run_campaign(spec, out_dir=work / "par", execution="parallel",
                      stage_workers=4)
         return (read_manifest(work / "ser"),
                 read_manifest(work / "par"))
@@ -91,25 +100,33 @@ def test_execution_modes_validated():
         make_spec([synth("s0")], execution="warp")
     for mode in EXECUTION_MODES:
         assert make_spec([synth("s0")], execution=mode).execution == mode
+    # The legacy spelling of the parallel mode still reads.
+    assert make_spec([synth("s0")], execution="threads").execution \
+        == "parallel"
+    assert make_spec([synth("s0")]).execution == "parallel"
+    with pytest.raises(CampaignError, match="execution mode"):
+        run_campaign(make_spec([synth("s0")]), out_dir=tempfile.mkdtemp(),
+                     execution="service")
 
 
 def test_spec_hash_invariant_under_scheduling_knobs():
     base = make_spec([synth("s0"), synth("s1", needs=["s0"])])
-    for mode in EXECUTION_MODES:
+    for mode in (*EXECUTION_MODES, "threads"):
         twin = make_spec([synth("s0"), synth("s1", needs=["s0"])],
                          execution=mode, stage_workers=7)
         assert twin.spec_hash() == base.spec_hash()
 
 
-def test_to_mapping_round_trips_spec_hash():
-    spec = make_spec(
-        [synth("s0", value=2.5), synth("s1", needs=["s0"], fail=True)],
-        execution="service", stage_workers=3, on_fail="continue",
-    )
-    clone = spec_from_mapping(spec.to_mapping())
-    assert clone.spec_hash() == spec.spec_hash()
-    assert clone.execution == "service" and clone.stage_workers == 3
-    assert clone.stage("s1").param("fail") is True
+def test_both_spellings_keep_the_golden_spec_hash():
+    """``threads`` and ``parallel`` hash alike, and to the committed
+    golden's spec hash, which every stage key hangs off."""
+    golden = json.loads((DATA / "golden_smoke" / "manifest.json")
+                        .read_text())["spec_hash"]
+    raw = tomllib.loads((DATA / "smoke.toml").read_text())
+    for mode in (None, "threads", "parallel"):
+        if mode is not None:
+            raw["runtime"] = {"execution": mode}
+        assert spec_from_mapping(raw).spec_hash() == golden
 
 
 def test_synthetic_fail_param_is_an_error_status(tmp_path):
@@ -184,13 +201,13 @@ def test_continue_skips_only_transitive_dependents():
 
 
 def test_resume_across_execution_modes(tmp_path):
-    # A serial run warms the stage store; a threads re-run of the same
+    # A serial run warms the stage store; a parallel re-run of the same
     # tree resumes every stage (same keys, same fingerprint).
     spec = make_spec([synth("s0"), synth("s1", needs=["s0"])])
     first = run_campaign(spec, out_dir=tmp_path / "out",
                          execution="serial")
     second = run_campaign(spec, out_dir=tmp_path / "out",
-                          execution="threads")
+                          execution="parallel")
     assert first.ok and second.ok
     for sid in ("s0", "s1"):
         assert not first.record(sid).resumed
@@ -198,37 +215,118 @@ def test_resume_across_execution_modes(tmp_path):
         assert second.record(sid).payload == first.record(sid).payload
 
 
-def test_thread_stage_cpu_excludes_siblings(tmp_path):
-    """Under threads a stage is charged its own CPU time only: one that
+def test_resumed_run_starts_no_stage_process(tmp_path, monkeypatch):
+    import repro.campaign.scheduler as scheduler
+
+    spec = make_spec([synth("s0"), synth("s1", needs=["s0"])])
+    assert run_campaign(spec, out_dir=tmp_path / "out",
+                        execution="parallel").ok
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a resumed run started a stage pool")
+
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", no_pool)
+    again = run_campaign(spec, out_dir=tmp_path / "out",
+                         execution="parallel")
+    assert again.ok
+    assert all(r.resumed for r in again.records)
+
+
+def _sleep_probe(ctx, stage):
+    time.sleep(0.4)
+    return {"stage": stage.id}, {}
+
+
+def _burn_probe(ctx, stage):
+    end = time.perf_counter() + 0.4
+    while time.perf_counter() < end:
+        pass
+    return {"stage": stage.id}, {}
+
+
+def test_stage_process_cpu_excludes_siblings(tmp_path, monkeypatch):
+    """A stage is charged its own process's CPU time only: one that
     sleeps while its sibling burns CPU reads near zero."""
-    import time
-
-    from repro.campaign.scheduler import execute_outcomes
-    from repro.campaign.stages import StageContext
-    from repro.runtime.cache import ResultCache
-
-    def run_one(ctx, stage):
-        if stage.id == "sleeper":
-            time.sleep(0.4)
-        else:
-            end = time.perf_counter() + 0.4
-            while time.perf_counter() < end:
-                pass
-        return {"stage": stage.id}, {}
-
-    spec = make_spec([synth("sleeper"), synth("burner")])
-    ctx = StageContext(spec=spec, design=None, tech=None, backend=None,
-                       cache=ResultCache(tmp_path / "tasks"),
-                       out_dir=tmp_path)
-    outcomes = execute_outcomes(
-        spec, ctx, stage_store=ResultCache(tmp_path / "stages"),
-        fingerprint="cpu-split", execution="threads", stage_workers=2,
-        share_ctx=False, run_one=run_one,
-    )
-    sleeper, burner = outcomes["sleeper"], outcomes["burner"]
+    monkeypatch.setitem(STAGE_KINDS, "sleep_probe", _sleep_probe)
+    monkeypatch.setitem(STAGE_KINDS, "burn_probe", _burn_probe)
+    spec = make_spec([{"id": "sleeper", "kind": "sleep_probe"},
+                      {"id": "burner", "kind": "burn_probe"}])
+    run = run_campaign(spec, out_dir=tmp_path / "out",
+                       execution="parallel", stage_workers=2)
+    assert run.ok
+    sleeper, burner = run.record("sleeper"), run.record("burner")
     assert sleeper.wall_s >= 0.4
     assert sleeper.cpu_s < 0.05
     assert burner.cpu_s > 0.1
+
+
+def _kill_once(ctx, stage):
+    """SIGKILL the process running this stage, the first time only."""
+    marker = Path(stage.param("marker"))
+    if not marker.exists():
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"stage": stage.id}, {}
+
+
+def test_dead_stage_process_fails_loudly_and_resumes(tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setitem(STAGE_KINDS, "kill_once", _kill_once)
+    spec = make_spec([
+        synth("s0", value=2.0),
+        {"id": "victim", "kind": "kill_once", "needs": ["s0"],
+         "params": {"marker": str(tmp_path / "killed.marker")}},
+        synth("s2", needs=["victim"], value=3.0),
+        synth("s3", value=4.0, dwell_ms=50.0),
+    ])
+    with pytest.raises(CampaignError, match="victim"):
+        run_campaign(spec, out_dir=tmp_path / "par",
+                     execution="parallel", stage_workers=2)
+    assert not (tmp_path / "par" / "manifest.json").exists()
+
+    resumed = run_campaign(spec, out_dir=tmp_path / "par",
+                           execution="parallel", stage_workers=2)
+    assert resumed.ok
+    assert resumed.record("s0").resumed
+    assert not resumed.record("victim").resumed
+    serial = run_campaign(spec, out_dir=tmp_path / "ser",
+                          execution="serial")
+    report = diff_campaign(tmp_path / "par", tmp_path / "ser",
+                           float_tol=0.0)
+    assert serial.ok
+    assert report.ok, [str(d) for d in report.divergences]
+
+
+@pytest.fixture
+def profiler():
+    from repro.kernels import ladders
+    from repro.runtime.profiling import PROFILER
+
+    was = PROFILER.enabled
+    PROFILER.enable()
+    yield PROFILER, ladders
+    PROFILER.enabled = was
+    PROFILER.reset()
+
+
+def test_profile_phases_match_across_modes(tmp_path, profiler):
+    """Stage processes send their phases back: ``smoke.toml`` profiles
+    to the same phase names under serial and parallel."""
+    from repro.campaign import load_spec
+
+    prof, ladders = profiler
+    spec = load_spec(DATA / "smoke.toml")
+    names = {}
+    for mode in ("serial", "parallel"):
+        # Each mode solves its ladders afresh, so kernel phases show.
+        ladders.clear()
+        prof.reset()
+        assert run_campaign(spec, out_dir=tmp_path / mode,
+                            execution=mode).ok
+        names[mode] = set(prof.snapshot())
+    assert names["serial"] == names["parallel"]
+    assert {"campaign.stage.thresholds", "campaign.stage.ladder",
+            "kernel.solve"} <= names["parallel"]
 
 
 # -- the property test ----------------------------------------------------
@@ -265,27 +363,6 @@ def test_random_dag_manifests_bit_identical(dag):
     # Skip/abort sets match exactly, not just payloads.
     assert [(s["id"], s["status"]) for s in ser["stages"]] \
         == [(s["id"], s["status"]) for s in par["stages"]]
-
-
-# -- service execution ----------------------------------------------------
-
-
-def test_service_execution_matches_serial(tmp_path):
-    from repro.campaign import diff_campaign
-
-    spec = make_spec([synth("s0", value=3.0),
-                      synth("s1", needs=["s0"], value=4.0)])
-    ser = run_campaign(spec, out_dir=tmp_path / "ser",
-                       execution="serial")
-    svc = run_campaign(spec, out_dir=tmp_path / "svc",
-                       execution="service")
-    assert ser.ok and svc.ok
-    report = diff_campaign(tmp_path / "svc", tmp_path / "ser",
-                           float_tol=0.0)
-    assert report.ok, [str(d) for d in report.divergences]
-    # The road taken is recorded: each executed stage names the shard
-    # fleet that served it.
-    assert svc.record("s0").volatile["service"]["address"]
 
 
 # -- stats-log compaction -------------------------------------------------

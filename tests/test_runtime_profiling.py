@@ -1,10 +1,11 @@
 """PhaseProfiler.report: summed phase time vs. wall time.
 
 Phases may nest (``kernel.solve`` inside ``campaign.stage.*``) and
-overlap (concurrent stage threads), so their summed time is not wall
-time.  The report must label the two separately, keep every share at
-or below 100 %, and print an ``(other)`` residual only when the phases
-fit inside the wall time.
+overlap (concurrent threads, or stage processes merged into the
+parent), so their summed time is not wall time.  The report must
+label the two separately, keep every share at or below 100 %, and
+print an ``(other)`` residual only when the phases fit inside the wall
+time.
 """
 
 from __future__ import annotations
@@ -98,6 +99,14 @@ def test_without_total_shares_are_of_summed_time():
     assert "(other)" not in report
 
 
+def test_merge_adds_another_processes_snapshot():
+    prof = PhaseProfiler()
+    prof.add("kernel.solve", 0.5)
+    prof.merge({"kernel.solve": (3, 0.25), "cache.get": (2, 0.125)})
+    assert prof.snapshot() == {"kernel.solve": (4, 0.75),
+                               "cache.get": (2, 0.125)}
+
+
 def test_empty_profiler_reports_nothing_ran():
     assert PhaseProfiler().report(total=1.0) == \
         "profile: no instrumented phases ran"
@@ -144,7 +153,7 @@ def test_concurrent_adds_lose_no_increments():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_can_add_while_parent_holds_the_lock():
-    # A stage thread may be inside add() when the pool forks a worker.
+    # A thread may be inside add() when a pool forks a worker.
     ctx = multiprocessing.get_context("fork")
     with PROFILER._lock:
         child = ctx.Process(target=PROFILER.add, args=("x", 1.0))
