@@ -14,9 +14,10 @@ bounds it:
   :func:`~repro.campaign.diff_campaign` between the serial and
   parallel trees at ``float_tol=0`` reports zero divergences.
 * ``chain_dag`` (``"bound": "latency"``) — six sleeping stages in a
-  straight dependency chain: zero exploitable parallelism, so
-  ``parallel - serial`` wall-clock is the scheduler's pure overhead
-  (stage-process start, pickling, ready-set scans).  Same gate.
+  straight dependency chain: zero exploitable parallelism, so the
+  scheduler starts one stage process, not ``STAGE_WORKERS``, and
+  ``parallel - serial`` wall-clock is its pure overhead (one
+  stage-process start, pickling, ready-set scans).  Same gate.
 * ``cpu_bound`` (``"bound": "cpu"``) — the nine kernel-backend stages
   of ``e2ebench/campaign_cpu.toml`` (telemetry stream, threshold
   sweeps, ladder, cap sweep, lot, s-curves, fault screen), read as

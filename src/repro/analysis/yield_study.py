@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.thermometer import ThermometerWord, decode_word
 from repro.devices.variation import VariationModel, VariationSample
 from repro.errors import ConfigurationError
-from repro.kernels import lot_threshold_grid, score_lot_grids, threshold_grid
+from repro.kernels import ladders, lot_threshold_grid, score_lot_grids
 from repro.runtime import (
     ResultCache,
     design_fingerprint,
@@ -248,13 +248,11 @@ def run_yield_study(design: "SensorDesign",
             f"failure_policy must be one of {FAILURE_POLICIES}, "
             f"got {failure_policy!r}"
         )
-    nominal_grid = threshold_grid(design, (code,))[:, 0]
+    nominal_ladder = ladders.ladder(design, code)
     if supplies is None:
-        lo = float(nominal_grid[0])
-        hi = float(nominal_grid[-1])
+        lo, hi = nominal_ladder[0], nominal_ladder[-1]
         supplies = np.linspace(lo + 0.005, hi - 0.005, 17)
     supply_grid = tuple(float(v) for v in supplies)
-    nominal_ladder = tuple(float(v) for v in nominal_grid)
 
     lot = variation.sample_lot(n_dies, design.n_bits, seed=seed)
     # Imported lazily: repro.core imports repro.analysis at package

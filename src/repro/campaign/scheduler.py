@@ -13,13 +13,14 @@ are all satisfied, in one of two execution modes:
   campaign process, and the drill must trip them there;
 * ``parallel`` (default; ``threads`` is its legacy spelling) — each
   stage body that misses the stage cache runs in a *stage process*,
-  on a :class:`~concurrent.futures.ProcessPoolExecutor` of
-  ``stage_workers`` created at the first miss, so a fully resumed run
-  starts no process.  Pure-Python stages hold the GIL, so threads
-  could not overlap them; processes can.  A stage process runs its
-  stage's inner maps serially (``workers=1``): the stage pool is the
-  campaign's only level of parallelism, and nested pools would only
-  over-subscribe the CPUs.
+  on a :class:`~concurrent.futures.ProcessPoolExecutor` created at the
+  first miss, so a fully resumed run starts no process.  It has
+  ``stage_workers`` processes, or fewer when the DAG is too narrow to
+  use them (a chain of stages gets one).  Pure-Python stages hold the
+  GIL, so threads could not overlap them; processes can.  A stage
+  process runs its stage's inner maps serially (``workers=1``): the
+  stage pool is the campaign's only level of parallelism, and nested
+  pools would only over-subscribe the CPUs.
 
 Parent and stage process split each stage's work: the parent reads
 the stage cache, evaluates the checks and writes the stage cache; a
@@ -245,6 +246,22 @@ def _execute_serial(spec: CampaignSpec, ctx: StageContext, *,
     return outcomes
 
 
+def _pool_size(order: tuple[str, ...], stages: dict[str, StageSpec],
+               workers: int) -> int:
+    """Stage processes to start: ``workers``, capped at ``n - L + 1``.
+
+    ``n`` is the number of stages and ``L`` the length of the longest
+    ``needs`` chain.  Stages that run at once form an antichain, which
+    holds at most one stage of that chain, so the cap is never below
+    the DAG's widest antichain.  A chain gets one process.
+    """
+    depth: dict[str, int] = {}
+    for sid in order:
+        depth[sid] = 1 + max((depth[d] for d in stages[sid].needs),
+                             default=0)
+    return min(workers, len(order) - max(depth.values()) + 1)
+
+
 def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
                       stage_store: ResultCache, fingerprint: str,
                       workers: int, bypass: bool
@@ -324,7 +341,8 @@ def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
                         else:
                             if pool is None:
                                 pool = ProcessPoolExecutor(
-                                    max_workers=min(workers, len(order)))
+                                    max_workers=_pool_size(
+                                        order, stages, workers))
                             fut = pool.submit(_stage_process, child_ctx,
                                               stage, PROFILER.enabled)
                             in_flight[fut] = sid

@@ -44,7 +44,7 @@ from repro.core.calibration import SensorDesign
 from repro.core.sensor import SenseRail, SensorBitHarness
 from repro.devices.technology import Technology
 from repro.errors import CharacterizationError, ConfigurationError
-from repro.kernels import solve_supply_for_delay, threshold_grid
+from repro.kernels import ladders, solve_supply_for_delay, threshold_grid
 from repro.runtime import (
     ResultCache,
     cached_map,
@@ -302,9 +302,7 @@ def characterize_bit_thresholds(
         assert bk is not None
         return _generic_thresholds(bk, design, code, rail=rail,
                                    tech=tech)
-    analytic = tuple(
-        float(v) for v in threshold_grid(design, (code,), tech)[:, 0]
-    )
+    analytic = ladders.ladder(design, code, tech)
     if rail is SenseRail.GND:
         nominal = design.tech.vdd_nominal
         analytic = tuple(nominal - v for v in analytic)

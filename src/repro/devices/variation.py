@@ -10,11 +10,15 @@ mismatched thresholds can produce "bubbles" in the output code), which
 is exactly what the encoder's bubble correction exists for.
 
 All sampling is deterministic given a seed, so tests are reproducible.
+Every die has its own generator, seeded from its own seed, and draws
+all its normals in one call; a lot's dies are then scaled together
+(:meth:`VariationModel.sample_dies`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,41 +97,61 @@ class VariationModel:
         if self.clip_sigmas <= 0:
             raise ConfigurationError("clip_sigmas must be positive")
 
-    def sample_die(self, n_instances: int, *, seed: int) -> VariationSample:
-        """Sample one die with ``n_instances`` varied gate instances."""
+    def sample_dies(self, n_instances: int, *,
+                    seeds: Sequence[int]) -> list[VariationSample]:
+        """Sample one die per seed, each with ``n_instances`` varied
+        gate instances.
+
+        Each die keeps its own stream: ``default_rng(seed)`` draws the
+        die's ``2 + 2 * n_instances`` standard normals in one call, in
+        the order die Vth, die drive, instance Vths, instance drives
+        (the same stream as drawing the four groups one call at a
+        time).  The dies' draws are then clipped, scaled and
+        exponentiated together as one array.
+        """
         if n_instances < 0:
             raise ConfigurationError("n_instances must be non-negative")
-        rng = np.random.default_rng(seed)
+        n = n_instances
+        draws = np.empty((len(seeds), 2 + 2 * n))
+        for row, seed in zip(draws, seeds):
+            row[:] = np.random.default_rng(seed).normal(
+                0.0, 1.0, size=2 + 2 * n)
+        np.clip(draws, -self.clip_sigmas, self.clip_sigmas, out=draws)
+        draws *= np.array([self.sigma_vth_inter, self.sigma_drive_inter]
+                          + [self.sigma_vth_intra] * n
+                          + [self.sigma_drive_intra] * n)
+        # exp into fresh contiguous arrays, as the per-die draws did:
+        # some NumPy builds take a scalar exp loop for strided output.
+        die_drive = np.exp(draws[:, 1]).tolist()
+        inst_drive = np.exp(draws[:, 2 + n:]).tolist()
+        return [
+            VariationSample(
+                die_vth_shift=vth,
+                die_drive_scale=drive,
+                instance_vth_shifts=tuple(inst_vth),
+                instance_drive_scales=tuple(inst_drives),
+            )
+            for vth, drive, inst_vth, inst_drives in zip(
+                draws[:, 0].tolist(), die_drive,
+                draws[:, 2:2 + n].tolist(), inst_drive)
+        ]
 
-        def clipped_normal(sigma: float, size=None):
-            raw = rng.normal(0.0, 1.0, size=size)
-            clipped = np.clip(raw, -self.clip_sigmas, self.clip_sigmas)
-            return clipped * sigma
-
-        die_vth = float(clipped_normal(self.sigma_vth_inter))
-        die_drive = float(np.exp(clipped_normal(self.sigma_drive_inter)))
-        inst_vth = clipped_normal(self.sigma_vth_intra, size=n_instances)
-        inst_drive = np.exp(
-            clipped_normal(self.sigma_drive_intra, size=n_instances)
-        )
-        return VariationSample(
-            die_vth_shift=die_vth,
-            die_drive_scale=die_drive,
-            instance_vth_shifts=tuple(float(x) for x in inst_vth),
-            instance_drive_scales=tuple(float(x) for x in inst_drive),
-        )
+    def sample_die(self, n_instances: int, *, seed: int) -> VariationSample:
+        """Sample one die with ``n_instances`` varied gate instances."""
+        return self.sample_dies(n_instances, seeds=[seed])[0]
 
     def sample_lot(self, n_dies: int, n_instances: int, *,
                    seed: int) -> list[VariationSample]:
-        """Sample a lot of dies with decorrelated per-die seeds."""
+        """Sample a lot of dies with decorrelated per-die seeds.
+
+        Die ``k``'s seed comes from the ``k``-th child of
+        ``SeedSequence(seed)``, so a smaller lot is a prefix of a
+        larger one with the same seed.
+        """
         if n_dies < 0:
             raise ConfigurationError("n_dies must be non-negative")
-        seq = np.random.SeedSequence(seed)
-        children = seq.spawn(n_dies)
-        return [
-            self.sample_die(
-                n_instances,
-                seed=int(child.generate_state(1)[0]),
-            )
-            for child in children
-        ]
+        children = np.random.SeedSequence(seed).spawn(n_dies)
+        return self.sample_dies(
+            n_instances,
+            seeds=[int(child.generate_state(1)[0]) for child in children],
+        )

@@ -8,6 +8,10 @@ Design goals, in order:
    locale-independent), dataclasses contribute their type name and every
    field, enums their class and member name.  Two designs that differ in
    any calibrated constant — or in the bisection tolerance — hash apart.
+   The tree is built in one recursive pass into a list and hashed in
+   one ``sha256`` call over its separator-joined tokens: the same token
+   tree and byte stream as hashing token by token, so every digest
+   (and every entry on disk) stays valid.
 2. **Graceful degradation.**  A corrupt or truncated entry (killed
    process, disk hiccup, version skew) is treated as a miss: the value
    is recomputed, the bad file replaced, and the ``errors`` counter
@@ -33,7 +37,7 @@ import pickle
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 try:
     import fcntl
@@ -67,53 +71,86 @@ _STATS_COMPACT_LINES = 256
 # -- canonical hashing ---------------------------------------------------------
 
 
-def _tokens(obj: Any) -> Iterator[str]:
-    """Yield a canonical, order-stable token stream for ``obj``.
+#: Field names of each dataclass type already hashed, keyed by its
+#: exact type (a subclass may add fields its base lacks).  Each value
+#: is a function of its key alone, so threads and callers can share it.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _append_tokens(obj: Any, out: list[str]) -> None:
+    """Append the canonical, order-stable token list of ``obj``.
 
     Supported: None/bool/int/str/bytes, floats (exact via ``hex()``),
     enums, dataclasses, and mappings/sequences of the above.  Anything
     else is rejected loudly — silently falling back to ``repr`` would
     risk serving stale entries for objects whose repr elides state.
+
+    The common types are matched on their exact type first; subclasses
+    (``IntEnum``, ``str``-mixin enums, ``np.float64``, named tuples)
+    and the rarer types take the ``isinstance`` chain below, in an
+    order that decides their tokens: an ``IntEnum`` is an int first.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        yield f"{type(obj).__name__}:{obj!r}"
-    elif isinstance(obj, float):
-        yield f"float:{obj.hex()}"
-    elif isinstance(obj, bytes):
-        yield f"bytes:{obj.hex()}"
-    elif isinstance(obj, enum.Enum):
-        yield f"enum:{type(obj).__name__}.{obj.name}"
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        yield f"dataclass:{type(obj).__name__}("
-        for field in dataclasses.fields(obj):
-            yield f"{field.name}="
-            yield from _tokens(getattr(obj, field.name))
-        yield ")"
-    elif isinstance(obj, dict):
-        yield "dict("
-        for key in sorted(obj, key=repr):
-            yield from _tokens(key)
-            yield "->"
-            yield from _tokens(obj[key])
-        yield ")"
-    elif isinstance(obj, (tuple, list)):
-        yield f"{type(obj).__name__}("
+    t = type(obj)
+    if t is float:
+        out.append(f"float:{obj.hex()}")
+    elif t is tuple or t is list:
+        out.append(f"{t.__name__}(")
         for item in obj:
-            yield from _tokens(item)
-        yield ")"
+            _append_tokens(item, out)
+        out.append(")")
+    elif t is str or t is int or t is bool or obj is None:
+        out.append(f"{t.__name__}:{obj!r}")
+    elif (names := _FIELD_NAMES.get(t)) is not None:
+        _append_dataclass(obj, names, out)
+    elif isinstance(obj, (bool, int, str)):
+        out.append(f"{t.__name__}:{obj!r}")
+    elif isinstance(obj, float):
+        out.append(f"float:{obj.hex()}")
+    elif isinstance(obj, bytes):
+        out.append(f"bytes:{obj.hex()}")
+    elif isinstance(obj, enum.Enum):
+        out.append(f"enum:{t.__name__}.{obj.name}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = tuple(field.name for field in dataclasses.fields(obj))
+        _FIELD_NAMES[t] = names
+        _append_dataclass(obj, names, out)
+    elif isinstance(obj, dict):
+        out.append("dict(")
+        for key in sorted(obj, key=repr):
+            _append_tokens(key, out)
+            out.append("->")
+            _append_tokens(obj[key], out)
+        out.append(")")
+    elif isinstance(obj, (tuple, list)):
+        out.append(f"{t.__name__}(")
+        for item in obj:
+            _append_tokens(item, out)
+        out.append(")")
     else:
         raise ConfigurationError(
-            f"cannot build a stable cache key from {type(obj).__name__!r}"
+            f"cannot build a stable cache key from {t.__name__!r}"
         )
 
 
+def _append_dataclass(obj: Any, names: tuple[str, ...],
+                      out: list[str]) -> None:
+    out.append(f"dataclass:{type(obj).__name__}(")
+    for name in names:
+        out.append(f"{name}=")
+        _append_tokens(getattr(obj, name), out)
+    out.append(")")
+
+
 def stable_hash(obj: Any) -> str:
-    """SHA-256 hex digest of the canonical token stream of ``obj``."""
-    digest = hashlib.sha256()
-    for token in _tokens(obj):
-        digest.update(token.encode())
-        digest.update(b"\x1f")  # unit separator: no token-boundary aliasing
-    return digest.hexdigest()
+    """SHA-256 hex digest of the canonical token list of ``obj``.
+
+    Every token is followed by the unit separator ``\\x1f``, so token
+    boundaries cannot alias.
+    """
+    tokens: list[str] = []
+    _append_tokens(obj, tokens)
+    return hashlib.sha256(
+        ("\x1f".join(tokens) + "\x1f").encode()).hexdigest()
 
 
 def _numeric_environment() -> tuple[str, ...]:

@@ -102,22 +102,30 @@ class Fleet:
         return tuple(d for d in range(self.config.n_dies)
                      if d % self.config.n_shards == shard)
 
-    def die_seed(self, die: int) -> int:
-        """Decorrelated per-die seed (stable across processes)."""
-        seq = np.random.SeedSequence([self.config.seed, die])
-        return int(seq.generate_state(1)[0])
 
+def die_samples(config: FleetConfig, dies: "list[int]",
+                n_instances: int) -> "list[VariationSample]":
+    """The dies' variation samples, drawn together.
 
-def die_sample(config: FleetConfig, die: int,
-               n_instances: int) -> "VariationSample":
-    """The die's variation sample (pure function of config + die)."""
+    Die ``d`` draws from its own stream, seeded from
+    ``SeedSequence([config.seed, d])``, so its sample is a pure function
+    of config + die (stable across processes and batches).
+    """
     from repro.devices.variation import VariationModel
 
     model = VariationModel(
         sigma_vth_inter=config.sigma_vth_inter,
         sigma_vth_intra=config.sigma_vth_intra,
     )
-    return model.sample_die(n_instances, seed=Fleet(config).die_seed(die))
+    seeds = [int(np.random.SeedSequence([config.seed, d])
+                 .generate_state(1)[0]) for d in dies]
+    return model.sample_dies(n_instances, seeds=seeds)
+
+
+def die_sample(config: FleetConfig, die: int,
+               n_instances: int) -> "VariationSample":
+    """The die's variation sample (pure function of config + die)."""
+    return die_samples(config, [die], n_instances)[0]
 
 
 # -- per-process state (pooled execution) --------------------------------------
@@ -301,15 +309,16 @@ def execute_job(payload: dict,
         if dies is None:
             dies = list(range(min(n_dies, config.n_dies)))
         dies = [int(d) for d in dies][:MAX_YIELD_DIES]
+        fleet = Fleet(config)
         for d in dies:
-            Fleet(config).shard_of(d)
+            fleet.shard_of(d)  # validates the ids
         caps = backend.capabilities()
         if not caps.lot_thresholds:
             raise BackendError(
                 f"backend {backend.id!r} does not characterize "
                 f"mismatch lots; route 'yield' to a capable driver"
             )
-        lot = [die_sample(config, d, design.n_bits) for d in dies]
+        lot = die_samples(config, dies, design.n_bits)
         table = np.asarray(backend.lot_thresholds(lot, code))
         sigma = np.nanstd(table, axis=0)
         # Fused decode-quality stats: which dies keep an ascending

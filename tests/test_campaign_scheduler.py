@@ -232,6 +232,63 @@ def test_resumed_run_starts_no_stage_process(tmp_path, monkeypatch):
     assert all(r.resumed for r in again.records)
 
 
+class _PoolStarted(Exception):
+    pass
+
+
+def _record_pool_sizes(monkeypatch, *, stop):
+    """Patch the stage pool to record its ``max_workers``; ``stop``
+    raises instead of starting it."""
+    import repro.campaign.scheduler as scheduler
+
+    sizes = []
+
+    class RecordingPool(scheduler.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            if stop:
+                raise _PoolStarted
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_chain_gets_one_stage_process(tmp_path, monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch, stop=False)
+    stages = [synth("s0")] + [synth(f"s{i}", needs=[f"s{i - 1}"])
+                              for i in range(1, 6)]
+    run = run_campaign(make_spec(stages), out_dir=tmp_path / "out",
+                       execution="parallel", stage_workers=4)
+    assert run.ok
+    assert sizes == [1]
+
+
+def test_pool_sized_by_widest_antichain(tmp_path, monkeypatch):
+    # n = 5, longest chain a -> b -> d (L = 3): at most 3 processes,
+    # and {b, c, e} really can run at once.
+    sizes = _record_pool_sizes(monkeypatch, stop=True)
+    spec = make_spec([synth("a"), synth("b", needs=["a"]),
+                      synth("c", needs=["a"]), synth("d", needs=["b"]),
+                      synth("e", needs=["a"])])
+    with pytest.raises(_PoolStarted):
+        run_campaign(spec, out_dir=tmp_path / "out",
+                     execution="parallel", stage_workers=4)
+    assert sizes == [3]
+
+
+def test_cpu_campaign_keeps_both_stage_processes(tmp_path, monkeypatch):
+    from repro.campaign import load_spec
+
+    spec = load_spec(Path(__file__).parents[1] / "e2ebench"
+                     / "campaign_cpu.toml")
+    assert not any(stage.needs for stage in spec.stages)
+    sizes = _record_pool_sizes(monkeypatch, stop=True)
+    with pytest.raises(_PoolStarted):
+        run_campaign(spec, out_dir=tmp_path / "out", execution="parallel")
+    assert sizes == [2]
+
+
 def _sleep_probe(ctx, stage):
     time.sleep(0.4)
     return {"stage": stage.id}, {}

@@ -103,3 +103,100 @@ def test_rejects_negative_sigma():
 def test_rejects_nonpositive_clip():
     with pytest.raises(ConfigurationError):
         VariationModel(clip_sigmas=0.0)
+
+
+# -- the per-die sampling oracle ------------------------------------------------
+
+
+def _oracle_sample_die(model, n_instances, *, seed):
+    """The per-die body that ``sample_dies`` replaced, kept verbatim:
+    four draws from the die's own generator, scaled one group at a
+    time."""
+    if n_instances < 0:
+        raise ConfigurationError("n_instances must be non-negative")
+    rng = np.random.default_rng(seed)
+
+    def clipped_normal(sigma, size=None):
+        raw = rng.normal(0.0, 1.0, size=size)
+        clipped = np.clip(raw, -model.clip_sigmas, model.clip_sigmas)
+        return clipped * sigma
+
+    die_vth = float(clipped_normal(model.sigma_vth_inter))
+    die_drive = float(np.exp(clipped_normal(model.sigma_drive_inter)))
+    inst_vth = clipped_normal(model.sigma_vth_intra, size=n_instances)
+    inst_drive = np.exp(
+        clipped_normal(model.sigma_drive_intra, size=n_instances)
+    )
+    return VariationSample(
+        die_vth_shift=die_vth,
+        die_drive_scale=die_drive,
+        instance_vth_shifts=tuple(float(x) for x in inst_vth),
+        instance_drive_scales=tuple(float(x) for x in inst_drive),
+    )
+
+
+def _oracle_lot_seeds(n_dies, seed):
+    return [int(child.generate_state(1)[0])
+            for child in np.random.SeedSequence(seed).spawn(n_dies)]
+
+
+def _hex(sample):
+    return (sample.die_vth_shift.hex(), sample.die_drive_scale.hex(),
+            tuple(x.hex() for x in sample.instance_vth_shifts),
+            tuple(x.hex() for x in sample.instance_drive_scales))
+
+
+MODELS = [
+    VariationModel(),
+    VariationModel(sigma_vth_inter=0.0, sigma_vth_intra=0.02,
+                   sigma_drive_inter=0.3, sigma_drive_intra=0.0),
+    # Clips most draws on both sides.
+    VariationModel(sigma_vth_inter=0.05, sigma_drive_intra=0.2,
+                   clip_sigmas=0.25),
+]
+
+
+@pytest.mark.parametrize("m", MODELS)
+@pytest.mark.parametrize("n_instances", [0, 1, 7, 16])
+def test_lot_matches_the_per_die_oracle(m, n_instances):
+    for seed in (0, 1, 2009):
+        lot = m.sample_lot(40, n_instances, seed=seed)
+        oracle = [_oracle_sample_die(m, n_instances, seed=s)
+                  for s in _oracle_lot_seeds(40, seed)]
+        assert [_hex(s) for s in lot] == [_hex(s) for s in oracle]
+
+
+@pytest.mark.parametrize("m", MODELS)
+@pytest.mark.parametrize("n_instances", [0, 1, 7, 16])
+def test_die_and_dies_match_the_oracle(m, n_instances):
+    seeds = [0, 3, 42, 2**63 + 5]
+    dies = m.sample_dies(n_instances, seeds=seeds)
+    for seed, die in zip(seeds, dies):
+        expect = _hex(_oracle_sample_die(m, n_instances, seed=seed))
+        assert _hex(die) == expect
+        assert _hex(m.sample_die(n_instances, seed=seed)) == expect
+
+
+def test_small_clip_really_clips():
+    m = MODELS[2]
+    die = m.sample_die(16, seed=5)
+    bound = m.clip_sigmas * m.sigma_vth_intra
+    assert sum(abs(v) == bound for v in die.instance_vth_shifts) > 4
+
+
+def test_lot_is_prefix_stable(model):
+    assert model.sample_lot(3, 7, seed=9) == model.sample_lot(8, 7,
+                                                              seed=9)[:3]
+
+
+def test_no_seeds_no_dies(model):
+    assert model.sample_dies(7, seeds=[]) == []
+    assert model.sample_lot(0, 7, seed=1) == []
+
+
+@pytest.mark.parametrize("n_dies", [0, 2])
+def test_negative_instances_rejected_for_any_lot_size(model, n_dies):
+    with pytest.raises(ConfigurationError):
+        model.sample_lot(n_dies, -1, seed=1)
+    with pytest.raises(ConfigurationError):
+        model.sample_dies(-1, seeds=[])
