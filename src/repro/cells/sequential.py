@@ -186,8 +186,7 @@ class DFlipFlop(Cell):
         validate_logic(old_value)
         v = self.tech.vdd_nominal if supply_v is None else supply_v
         # Supply scaling of the FF's own timing: ratio of voltage factors.
-        scale = (self.model.voltage_factor(v)
-                 / self.model.voltage_factor(self.tech.vdd_nominal))
+        scale = self.model.supply_scale(v)
         if math.isinf(scale):
             return SampleResult(
                 value=UNKNOWN,
@@ -258,6 +257,5 @@ class DFlipFlop(Cell):
         window) is cleanly captured; later is missed.
         """
         v = self.tech.vdd_nominal if supply_v is None else supply_v
-        scale = (self.model.voltage_factor(v)
-                 / self.model.voltage_factor(self.tech.vdd_nominal))
+        scale = self.model.supply_scale(v)
         return clock_edge - self.setup_time * scale

@@ -20,6 +20,7 @@ from repro.analysis.thermometer import (
     decode_word,
 )
 from repro.core.calibration import SensorDesign
+from repro.core.pulsegen import PulseGenerator
 from repro.core.sensor import BitMeasure, SenseRail, SensorBit
 from repro.devices.technology import Technology
 from repro.devices.variation import VariationSample
@@ -63,6 +64,9 @@ class SensorArray:
             SensorBit(design, b, rail)
             for b in range(1, design.n_bits + 1)
         )
+        # Every bit of every measure shares one inverter and one FF.
+        self._inv = design.sensor_inverter(tech)
+        self._ff = design.sense_flipflop(tech)
 
     @property
     def n_bits(self) -> int:
@@ -99,13 +103,11 @@ class SensorArray:
                 gnd_n: float | None = None) -> ArrayMeasure:
         """Analytic measurement at a static rail level.
 
-        Every bit shares one sensing window, inverter and flip-flop;
-        they are built once here and handed to each bit.
+        Every bit shares one sensing window and the array's inverter
+        and flip-flop, which were built with the array.
         """
-        design, tech = self.design, self.tech
-        window = design.effective_window(code, tech)
-        inv = design.sensor_inverter(tech)
-        ff = design.sense_flipflop(tech)
+        window = self.design.effective_window(code, self.tech)
+        inv, ff = self._inv, self._ff
         measures = tuple(
             b._measure_with(window, inv, ff, vdd_n=vdd_n, gnd_n=gnd_n)
             for b in self.bits
@@ -181,6 +183,11 @@ class SensorArrayHarness:
                 f"need at least {design.n_bits}"
             )
         self.array = SensorArray(design, rail, tech)
+        # Built once: run_measures needs the corner-realized CP skew and
+        # the sampling window (the CP-route delay builds a flip-flop).
+        self.pulse_generator = PulseGenerator(design, self.tech)
+        self._window_pad = (design.cp_route_delay + max(design.delay_codes)
+                            + 0.5 * NS)
         self._build()
 
     def _inv_tech(self, bit: int) -> Technology:
@@ -259,9 +266,7 @@ class SensorArrayHarness:
             engine.set_initial(f"OUT{b}", 0)
 
         # Corner-realized PG skew (see SensorBitHarness.run_measures).
-        from repro.core.pulsegen import PulseGenerator
-
-        skew = PulseGenerator(self.design, self.tech).skew(code)
+        skew = self.pulse_generator.skew(code)
         for t_m in times:
             t_prep = t_m - self.PREPARE_LEAD
             if t_prep > 0:
@@ -283,8 +288,7 @@ class SensorArrayHarness:
     def _collect(self, engine: SimulationEngine,
                  times: list[float]) -> list[ArrayMeasure]:
         design = self.design
-        window_pad = (design.cp_route_delay + max(design.delay_codes)
-                      + 0.5 * NS)
+        window_pad = self._window_pad
         out: list[ArrayMeasure] = []
         for t_m in times:
             measures: list[BitMeasure] = []

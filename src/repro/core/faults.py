@@ -165,9 +165,7 @@ class FaultInjector:
             engine.set_initial(f"OUT{b}", 1 - rail.pass_value)
         self._apply_fault(engine)
 
-        from repro.core.pulsegen import PulseGenerator
-
-        skew = PulseGenerator(self.design, h.tech).skew(code)
+        skew = h.pulse_generator.skew(code)
         t_m = 2 * h.PREPARE_LEAD
         t_prep = t_m - h.PREPARE_LEAD
         engine.schedule_stimulus("P", rail.prepare_p, t_prep)

@@ -25,6 +25,7 @@ from repro.cells.combinational import Inverter
 from repro.cells.sequential import DFlipFlop
 from repro.core import paperdata
 from repro.core.calibration import SensorDesign
+from repro.core.pulsegen import PulseGenerator
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import SimulationEngine
@@ -236,6 +237,10 @@ class SensorBitHarness:
         self.bit = SensorBit(design, bit, rail)
         self.rail = rail
         self.tech = tech if tech is not None else design.tech
+        # Built once: run_measures needs the corner-realized CP skew and
+        # the nominal CP-route delay (which builds a flip-flop).
+        self.pulse_generator = PulseGenerator(design, self.tech)
+        self._route_delay_nom = design.cp_route_delay
         self._build()
 
     def _build(self) -> None:
@@ -326,9 +331,7 @@ class SensorBitHarness:
         # The harness bypasses the PG netlist but must apply the skew
         # the PG would *realize in this technology* — at a corner the
         # delay elements scale with the devices.
-        from repro.core.pulsegen import PulseGenerator
-
-        skew = PulseGenerator(self.design, self.tech).skew(code)
+        skew = self.pulse_generator.skew(code)
         for t_m in times:
             t_prep = t_m - self.PREPARE_LEAD
             if t_prep > 0:
@@ -351,7 +354,7 @@ class SensorBitHarness:
 
     def _collect(self, engine: SimulationEngine,
                  times: list[float]) -> list[BitMeasure]:
-        route_delay_nom = self.design.cp_route_delay
+        route_delay_nom = self._route_delay_nom
         results: list[BitMeasure] = []
         samples = engine.trace.samples_for("ff")
         for t_m in times:

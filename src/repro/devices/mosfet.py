@@ -17,10 +17,18 @@ properties of this model carry the entire paper:
   Fig. 2 and the linearity claim of Fig. 4;
 * the sensitivity ``d t_d / d V`` grows with the load ``C`` — the
   capacitance-programmed threshold ladder of the multi-bit sensor.
+
+``g(V) = V / (V - V_th)**alpha`` is computed by one array core,
+:func:`voltage_factor_array`, which the vectorized kernels
+(:func:`repro.kernels.delay_law.voltage_factor_grid`) call too.
+:func:`voltage_factor` adds a scalar branch for Python-float supplies,
+the innermost call of every event simulation, and returns the same
+bits as the core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,30 @@ import numpy as np
 from repro.devices.brent import brentq
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError
+
+
+def voltage_factor_array(v: float | np.ndarray, vth: float | np.ndarray,
+                         alpha: float | np.ndarray,
+                         dtype: "np.dtype | type" = np.float64
+                         ) -> np.ndarray:
+    """The delay law's one array core: ``g(V)`` elementwise at ``dtype``.
+
+    ``v``, ``vth`` and ``alpha`` are cast to ``dtype`` and broadcast.
+    Supplies at or below ``vth`` map to ``+inf`` (the gate never
+    switches) and a ``+inf`` supply maps to NaN, both silently: the
+    division-by-zero and invalid-value flags are ignored, overflow still
+    warns.  :func:`voltage_factor` and
+    :func:`repro.kernels.delay_law.voltage_factor_grid` both call this,
+    so the scalar model and the kernels share one sequence of
+    operations.
+    """
+    v = np.asarray(v, dtype=dtype)
+    vth = np.asarray(vth, dtype=dtype)
+    alpha = np.asarray(alpha, dtype=dtype)
+    headroom = v - vth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(headroom > 0.0,
+                        v / np.power(np.abs(headroom), alpha), np.inf)
 
 
 def voltage_factor(v: float | np.ndarray, vth: float, alpha: float):
@@ -38,13 +70,25 @@ def voltage_factor(v: float | np.ndarray, vth: float, alpha: float):
     monotonically slower as its supply droops.
 
     Accepts scalars or numpy arrays; values at or below ``vth`` map to
-    ``+inf`` (the gate never switches).
+    ``+inf`` (the gate never switches).  A Python-float supply, the
+    every-event case of the simulator, takes a scalar branch that skips
+    the 0-d array and ``np.errstate``.  It still takes the power with
+    ``np.power``, not ``**``: NumPy's own ``pow`` differs from the C
+    library's in the last bit for some supplies, and the branch must
+    return the same bits as :func:`voltage_factor_array`.  Supplies the
+    branch cannot divide cleanly (``+inf``, or a power that underflows
+    to zero) fall through to the array core, which returns the same
+    NaN or ``inf`` without a warning.
     """
-    v_arr = np.asarray(v, dtype=float)
-    headroom = v_arr - vth
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(headroom > 0.0, v_arr / np.power(np.abs(headroom), alpha), np.inf)
-    if np.isscalar(v) or v_arr.ndim == 0:
+    if type(v) is float:
+        headroom = v - vth
+        if not headroom > 0.0:
+            return math.inf
+        power = np.power(headroom, alpha)
+        if power > 0.0 and v < math.inf:
+            return float(v / power)
+    g = voltage_factor_array(v, vth, alpha)
+    if np.ndim(v) == 0:
         return float(g)
     return g
 
@@ -81,6 +125,13 @@ class AlphaPowerModel:
         """``g(V)`` for this gate's technology (see module docstring)."""
         return voltage_factor(v, self.tech.vth, self.tech.alpha)
 
+    def supply_scale(self, v: float) -> float:
+        """``g(v) / g(vdd_nominal)``: the factor by which this gate's
+        timing stretches when its supply moves from nominal to ``v``
+        (``inf`` at or below threshold)."""
+        return self.voltage_factor(v) / self.voltage_factor(
+            self.tech.vdd_nominal)
+
     def delay(self, supply_v: float, load_cap: float, *,
               input_slew: float = 0.0) -> float:
         """Propagation delay in seconds for a single switching event.
@@ -101,8 +152,8 @@ class AlphaPowerModel:
         if load_cap < 0:
             raise ConfigurationError("load_cap must be non-negative")
         g = voltage_factor(supply_v, self.tech.vth, self.tech.alpha)
-        if np.isinf(g):
-            return float("inf")
+        if g == math.inf:
+            return math.inf
         c_total = self.intrinsic_cap + load_cap
         base = (self.tech.drive_constant / self.strength) * c_total * g
         return base + self.tech.slew_fraction * input_slew

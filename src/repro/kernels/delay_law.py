@@ -10,8 +10,10 @@ one point at a time and inverts it with the in-tree Brent solver
 module evaluates and inverts the same law over whole NumPy grids:
 
 * :func:`voltage_factor_grid` / :func:`delay_grid` are elementwise and
-  **bit-identical** to the scalar path (same operations, same order,
-  IEEE-754 doubles either way);
+  **bit-identical** to the scalar path: both run the one array core
+  :func:`repro.devices.mosfet.voltage_factor_array`, whose float64
+  result the scalar model's Python-float branch reproduces bit for bit
+  (it too uses ``np.power``, never ``**``);
 * :func:`solve_voltage_factor` inverts ``g(V) = G`` with a safeguarded
   Newton-bisection iteration run in log space, converged until the
   per-lane bracket collapses to a few ulps — *more* accurate than the
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.devices.mosfet import voltage_factor_array
 from repro.errors import ConfigurationError
 from repro.kernels.backend import active_backend, compiled_solver
 from repro.kernels.dtype import resolve_dtype
@@ -46,18 +49,11 @@ def voltage_factor_grid(v: np.ndarray, vth: np.ndarray | float,
     below threshold (the gate never switches).
 
     ``dtype`` selects the working precision (see
-    :mod:`repro.kernels.dtype`); the float64 default is bit-identical
-    to the scalar path.
+    :mod:`repro.kernels.dtype`).  The arithmetic is the scalar model's
+    own array core, :func:`repro.devices.mosfet.voltage_factor_array`,
+    so the float64 default is bit-identical to the scalar path.
     """
-    dt = resolve_dtype(dtype)
-    v = np.asarray(v, dtype=dt)
-    vth = np.asarray(vth, dtype=dt)
-    alpha = np.asarray(alpha, dtype=dt)
-    headroom = v - vth
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(headroom > 0.0,
-                     v / np.power(np.abs(headroom), alpha), np.inf)
-    return g
+    return voltage_factor_array(v, vth, alpha, resolve_dtype(dtype))
 
 
 def delay_grid(v: np.ndarray, c_total: np.ndarray | float,

@@ -350,8 +350,7 @@ class SimulationEngine:
         if t_clk is None:
             return
         supply = self.netlist.supply_of(inst, t_data)
-        scale = (cell.model.voltage_factor(supply)
-                 / cell.model.voltage_factor(cell.tech.vdd_nominal))
+        scale = cell.model.supply_scale(supply)
         if math.isinf(scale):
             return
         if 0.0 <= t_data - t_clk < cell.hold_time * scale:

@@ -105,8 +105,7 @@ class TimingGraph:
                 f"{type(cell).__name__}"
             )
         supply = calc.supply_of(inst)
-        scale = (cell.model.voltage_factor(supply)
-                 / cell.model.voltage_factor(cell.tech.vdd_nominal))
+        scale = cell.model.supply_scale(supply)
         q_net = inst.net_of("Q")
         d_net = inst.net_of("D")
         launch = cell.clk_to_q * scale

@@ -62,8 +62,7 @@ def _hold_times(netlist: Netlist,
             continue
         cell = inst.cell
         supply = calc.supply_of(inst)
-        scale = (cell.model.voltage_factor(supply)
-                 / cell.model.voltage_factor(cell.tech.vdd_nominal))
+        scale = cell.model.supply_scale(supply)
         d_net = inst.net_of("D")
         req = cell.hold_time * scale
         out[d_net] = max(out.get(d_net, 0.0), req)

@@ -139,3 +139,10 @@ def test_near_linear_over_paper_range(model):
     fit = intercept + slope * vs
     max_rel_resid = np.max(np.abs(ds - fit)) / np.mean(ds)
     assert max_rel_resid < 0.01
+
+
+def test_supply_scale_is_the_voltage_factor_ratio(model):
+    nominal = model.voltage_factor(TECH_90NM.vdd_nominal)
+    for v in (0.85, 0.95, TECH_90NM.vdd_nominal, 1.1):
+        assert model.supply_scale(v) == model.voltage_factor(v) / nominal
+    assert math.isinf(model.supply_scale(TECH_90NM.vth))
