@@ -378,6 +378,7 @@ def _run_fault_screen(ctx: StageContext,
     code = int(stage.param("code", 3))
     faults = stage.param("faults", [{"fault": "out_stuck_fail",
                                      "bit": 2}])
+    injector = FaultInjector(ctx.design, tech=ctx.tech)
     results = []
     for entry in faults:
         name = str(entry["fault"]).upper()
@@ -389,7 +390,6 @@ def _run_fault_screen(ctx: StageContext,
                 f"stage {stage.id!r}: unknown fault type {name!r} "
                 f"(known: {[f.name for f in FaultType]})"
             ) from exc
-        injector = FaultInjector(ctx.design, tech=ctx.tech)
         injector.inject(fault_type, bit)
         suspects = screen_suspects(injector, code=code)
         results.append({

@@ -21,7 +21,12 @@ from repro.analysis.thermometer import (
 )
 from repro.core.calibration import SensorDesign
 from repro.core.pulsegen import PulseGenerator
-from repro.core.sensor import BitMeasure, SenseRail, SensorBit
+from repro.core.sensor import (
+    BitMeasure,
+    SenseRail,
+    SensorBit,
+    bind_noisy_rails,
+)
 from repro.devices.technology import Technology
 from repro.devices.variation import VariationSample
 from repro.errors import ConfigurationError, SimulationError
@@ -238,7 +243,8 @@ class SensorArrayHarness:
 
         Returns one :class:`ArrayMeasure` per instant, word bits ordered
         bit 1 first (use ``word.to_string()`` for the paper's MSB-first
-        rendering).
+        rendering).  An omitted ``vdd_n``/``gnd_n`` is the nominal rail
+        (:func:`~repro.core.sensor.bind_noisy_rails`).
         """
         if not measure_times:
             raise ConfigurationError("measure_times must be non-empty")
@@ -252,10 +258,7 @@ class SensorArrayHarness:
             raise ConfigurationError(
                 f"first measure must be at or after t={self.PREPARE_LEAD}"
             )
-        if vdd_n is not None:
-            self.netlist.set_supply_waveform("VDDN", vdd_n)
-        if gnd_n is not None:
-            self.netlist.set_supply_waveform("GNDN", gnd_n)
+        bind_noisy_rails(self.netlist, vdd_n, gnd_n)
         engine = SimulationEngine(self.netlist)
         rail = self.rail
         engine.set_initial("P", rail.prepare_p)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.array import SensorArrayHarness
 from repro.core.calibration import SensorDesign
-from repro.core.sensor import SenseRail
+from repro.core.sensor import SenseRail, bind_noisy_rails
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError
 from repro.kernels import ladders
@@ -139,7 +139,8 @@ class FaultInjector:
 
         Args:
             code: Delay code for the screen.
-            vdd_n / gnd_n: Rail during the screen.
+            vdd_n / gnd_n: Rail during the screen; an omitted rail is
+                nominal (:func:`~repro.core.sensor.bind_noisy_rails`).
             reference_level: When the applied VDD-n is a *known* static
                 tester level, pass it here to enable the expected-word
                 check (the check that closes coverage on top-stage
@@ -151,10 +152,7 @@ class FaultInjector:
         # scheduling with an injected hook.
         from repro.sim.engine import SimulationEngine
 
-        if vdd_n is not None:
-            h.netlist.set_supply_waveform("VDDN", vdd_n)
-        if gnd_n is not None:
-            h.netlist.set_supply_waveform("GNDN", gnd_n)
+        bind_noisy_rails(h.netlist, vdd_n, gnd_n)
         engine = SimulationEngine(h.netlist)
         rail = self.rail
         engine.set_initial("P", rail.prepare_p)
@@ -290,13 +288,15 @@ def coverage_study(design: SensorDesign, *,
           for b in range(1, design.n_bits + 1)]
     low_level = ts[0] - 0.05
     high_level = ts[-1] + 0.05
+    # One injector re-armed per fault: every screen builds a fresh
+    # engine (which resets every net) and binds its own rail.
+    injector = FaultInjector(design)
     results: dict[str, float] = {}
     total_detected = 0
     total = 0
     for fault in FaultType:
         detected = 0
         for bit in range(1, design.n_bits + 1):
-            injector = FaultInjector(design)
             injector.inject(fault, bit)
             caught = False
             for level in (low_level, high_level):

@@ -201,6 +201,21 @@ class SensorBit:
         )
 
 
+def bind_noisy_rails(netlist: Netlist,
+                     vdd_n: Waveform | float | None,
+                     gnd_n: Waveform | float | None) -> None:
+    """Bind a sensor netlist's ``VDDN``/``GNDN`` rails for one run.
+
+    An omitted rail is nominal: ``VDDN`` takes the ``VDD`` rail's
+    waveform and ``GNDN`` sits at 0 V.  Every run binds both, so a
+    reused harness never measures at a previous call's rail.
+    """
+    netlist.set_supply_waveform(
+        "VDDN", netlist.supplies["VDD"].waveform if vdd_n is None else vdd_n
+    )
+    netlist.set_supply_waveform("GNDN", 0.0 if gnd_n is None else gnd_n)
+
+
 def _safe_log(window: float, distance: float) -> float:
     """``ln(window/distance)`` guarded against a zero distance."""
     import math
@@ -279,7 +294,8 @@ class SensorBitHarness:
 
     def bind_rails(self, *, vdd_n: Waveform | float | None = None,
                    gnd_n: Waveform | float | None = None) -> None:
-        """Attach the noisy rail waveforms for the next run."""
+        """Attach the noisy rail waveforms for an engine driven by hand;
+        an omitted rail keeps its current waveform."""
         if vdd_n is not None:
             self.netlist.set_supply_waveform("VDDN", vdd_n)
         if gnd_n is not None:
@@ -297,7 +313,8 @@ class SensorBitHarness:
                 itself is exercised by the full-system harness).
             measure_times: SENSE instants, seconds; must be spaced by at
                 least ``PREPARE_LEAD`` plus the sensing window.
-            vdd_n / gnd_n: Noisy rail waveforms for this run.
+            vdd_n / gnd_n: Noisy rail waveforms for this run; an
+                omitted rail is nominal (:func:`bind_noisy_rails`).
 
         Returns:
             One :class:`BitMeasure` per SENSE instant.
@@ -319,7 +336,7 @@ class SensorBitHarness:
             raise ConfigurationError(
                 f"first measure must be at or after t={self.PREPARE_LEAD}"
             )
-        self.bind_rails(vdd_n=vdd_n, gnd_n=gnd_n)
+        bind_noisy_rails(self.netlist, vdd_n, gnd_n)
         engine = SimulationEngine(self.netlist)
         rail = self.rail
         engine.set_initial("P", rail.prepare_p)

@@ -23,7 +23,7 @@ from repro.core.calibration import SensorDesign
 from repro.core.control import ControlFSM, MeasurementSchedule
 from repro.core.encoder import EncodedMeasure, ThermometerEncoder
 from repro.core.pulsegen import build_pg_netlist
-from repro.core.sensor import SenseRail
+from repro.core.sensor import SenseRail, bind_noisy_rails
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import SimulationEngine
@@ -182,7 +182,8 @@ class SensorSystem:
             code_hs / code_ls: Delay codes for the HS / LS chains
                 (Fig. 7's independent ``delay HS`` / ``delay LS``).
             vdd_n / gnd_n: Noisy rail waveforms (floats become constant
-                rails).
+                rails); an omitted rail is nominal
+                (:func:`~repro.core.sensor.bind_noisy_rails`).
             start_time: First FSM tick, seconds; defaults to two clock
                 periods (leaves room for settling).
             max_events: Watchdog budget on simulator events (forwarded
@@ -203,10 +204,7 @@ class SensorSystem:
                 raise ConfigurationError(f"delay code {code} outside 0..7")
         t_start = (2 * self.clock_period if start_time is None
                    else start_time)
-        if vdd_n is not None:
-            self.netlist.set_supply_waveform("VDDN", vdd_n)
-        if gnd_n is not None:
-            self.netlist.set_supply_waveform("GNDN", gnd_n)
+        bind_noisy_rails(self.netlist, vdd_n, gnd_n)
 
         engine = (SimulationEngine(self.netlist) if max_events is None
                   else SimulationEngine(self.netlist,

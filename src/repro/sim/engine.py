@@ -18,24 +18,35 @@ Semantics:
   resolution time (the data behind the paper's Fig. 2);
 * a D-input change landing inside the hold window after a clock edge
   corrupts the just-taken sample to ``UNKNOWN``.
+
+Per-event work reads the netlist's
+:class:`~repro.sim.netlist.CompiledNetlist`, taken when the engine is
+built: each net's load, driver and energy cap, tagged fanout tuples,
+each instance's rails, input pairs and output ``(net, load, cause)``
+entries.  Rail waveforms and net values are read live, so a
+``set_supply_waveform`` between runs needs no recompile; a structural
+mutation of the netlist is seen by the next engine, not this one.
+Cells are still asked for every delay (``Cell.propagation_delay``) and
+every sample (``DFlipFlop.sample``).
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.cells.base import (
-    Cell,
-    HIGH,
-    LOW,
-    LogicValue,
-    PinDirection,
-    UNKNOWN,
-)
+from repro.cells.base import HIGH, LOW, LogicValue, UNKNOWN
 from repro.cells.sequential import DFlipFlop
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
-from repro.sim.netlist import Instance, Netlist
+from repro.sim.netlist import (
+    CLOCK,
+    COMBINATIONAL,
+    DATA,
+    Net,
+    Netlist,
+    GateView,
+    NetView,
+)
 from repro.sim.trace import SampleRecord, Trace
 
 
@@ -50,12 +61,18 @@ class SimulationEngine:
 
     def __init__(self, netlist: Netlist, *, max_events: int = 2_000_000
                  ) -> None:
-        netlist.validate()
+        netlist.validate()  # also rebuilds a view with stale caps
         self.netlist = netlist
+        # The structure this engine runs on: later mutations of the
+        # netlist build a new view for the next engine, not this one.
+        view = netlist.compiled()
+        self._nodes = view.nodes
+        self._gates = view.gates
         # Nets belong to the (reusable) netlist but their runtime state
         # belongs to one engine: reset it so a fresh engine never sees a
         # previous run's values or timestamps.
-        for net in netlist.nets.values():
+        for node in self._nodes.values():
+            net = node.net
             net.value = UNKNOWN
             net.previous_value = UNKNOWN
             net.last_change = float("-inf")
@@ -79,7 +96,7 @@ class SimulationEngine:
     def schedule_stimulus(self, net: str, value: LogicValue,
                           time: float) -> Event:
         """Schedule an external transition on an input net."""
-        if net not in self.netlist.nets:
+        if net not in self._nodes:
             raise SimulationError(f"unknown net {net!r}")
         return self.queue.schedule(time, net, value, cause="stimulus")
 
@@ -90,10 +107,11 @@ class SimulationEngine:
         overrides), equivalent to Verilog's ``force``.  Applies from
         now until :meth:`release_net`.
         """
-        if net not in self.netlist.nets:
+        node = self._nodes.get(net)
+        if node is None:
             raise SimulationError(f"unknown net {net!r}")
         self._forced[net] = value
-        n = self.netlist.nets[net]
+        n = node.net
         if n.value != value:
             pending = self._pending.pop(net, None)
             if pending is not None:
@@ -102,12 +120,11 @@ class SimulationEngine:
             n.value = value
             n.last_change = max(self.queue.now, 0.0)
             self.trace.record(net, n.last_change, value)
-            for ref in self.netlist.sinks_of(net):
-                inst = ref.instance
-                if inst.cell.is_sequential:
+            for gate, pin, tag in node.fanout:
+                if tag != COMBINATIONAL:
                     continue  # sequential state follows at clock edges
                 self._update_combinational(
-                    inst, ref.pin_name,
+                    gate, pin,
                     Event(time=n.last_change, seq=-1, net=net,
                           value=value),
                 )
@@ -123,9 +140,10 @@ class SimulationEngine:
         Used to establish the PREPARE-phase preconditions; the value is
         recorded in the trace so queries see it.
         """
-        n = self.netlist.nets.get(net)
-        if n is None:
+        node = self._nodes.get(net)
+        if node is None:
             raise SimulationError(f"unknown net {net!r}")
+        n = node.net
         n.previous_value = n.value
         n.value = value
         n.last_change = 0.0
@@ -160,19 +178,21 @@ class SimulationEngine:
                     "combinational loop?"
                 )
             changed = False
-            for inst in self.netlist.iter_instances():
-                if inst.cell.is_sequential:
+            for gate in self._gates.values():
+                if gate.cell.is_sequential:
                     continue
-                outputs = inst.cell.evaluate(self._input_values(inst))
+                outputs = gate.cell.evaluate(
+                    {pin: net.value for pin, net in gate.inputs}
+                )
                 for pin, val in outputs.items():
-                    if inst.net_of(pin) in self._forced:
+                    name, net, _, _ = gate.outputs[pin]
+                    if name in self._forced:
                         continue
-                    net = self.netlist.nets[inst.net_of(pin)]
                     if net.value != val:
                         net.value = val
                         net.previous_value = val
                         net.last_change = float("-inf")
-                        self.trace.record(net.name, time, val)
+                        self.trace.record(name, time, val)
                         changed = True
         return iters
 
@@ -187,12 +207,14 @@ class SimulationEngine:
         Raises:
             SimulationError: when ``max_events`` is exceeded.
         """
-        last_time = self.queue.now
+        queue = self.queue
+        apply = self._apply
+        last_time = queue.now
         while True:
-            t_next = self.queue.peek_time()
+            t_next = queue.peek_time()
             if t_next is None or t_next > until:
                 break
-            event = self.queue.pop()
+            event = queue.pop()
             if event is None:  # pragma: no cover - guarded by peek
                 break
             self._processed += 1
@@ -201,33 +223,34 @@ class SimulationEngine:
                     f"exceeded max_events={self.max_events}; "
                     "probable oscillation"
                 )
-            self._apply(event)
+            apply(event)
             last_time = event.time
         return last_time
 
     # -- event application ----------------------------------------------
 
     def _apply(self, event: Event) -> None:
-        net = self.netlist.nets[event.net]
-        if self._pending.get(event.net) is event:
-            del self._pending[event.net]
-        if event.net in self._forced:
+        name = event.net
+        if self._pending.get(name) is event:
+            del self._pending[name]
+        if name in self._forced:
             return  # net is held; the driver event is discarded
+        node = self._nodes[name]
+        net = node.net
         if net.value == event.value:
             return  # no transition
         net.previous_value = net.value
         net.value = event.value
         net.last_change = event.time
-        self.trace.record(event.net, event.time, event.value)
-        self._account_energy(event)
-        for ref in self.netlist.sinks_of(event.net):
-            inst = ref.instance
-            if inst.cell.is_sequential:
-                self._update_sequential(inst, ref.pin_name, event)
+        self.trace.record(name, event.time, event.value)
+        self._account_energy(node, event.time)
+        for gate, pin, tag in node.fanout:
+            if tag == COMBINATIONAL:
+                self._update_combinational(gate, pin, event)
             else:
-                self._update_combinational(inst, ref.pin_name, event)
+                self._update_sequential(gate, pin, tag, event)
 
-    def _account_energy(self, event: Event) -> None:
+    def _account_energy(self, node: NetView, t: float) -> None:
         """Charge ``1/2 * C * V^2`` to the driving cell per transition.
 
         The standard dynamic-energy model: each committed output
@@ -237,82 +260,68 @@ class SimulationEngine:
         stimulus transitions draw from off-netlist sources and are not
         charged.
         """
-        driver = self.netlist.driver_of(event.net)
-        if driver is None:
+        gate = node.driver
+        if gate is None:
             return
-        inst = driver.instance
-        v = self.netlist.supply_of(inst, event.time)
-        cap = (self.netlist.load_of(event.net)
-               + inst.cell.model.intrinsic_cap)
-        energy = 0.5 * cap * v * v
-        self.energy_by_instance[inst.name] = \
-            self.energy_by_instance.get(inst.name, 0.0) + energy
+        v = gate.supply(t)
+        energy = 0.5 * node.energy_cap * v * v
+        self.energy_by_instance[gate.name] = \
+            self.energy_by_instance.get(gate.name, 0.0) + energy
 
     @property
     def total_energy(self) -> float:
         """Total switching energy charged so far, joules."""
         return sum(self.energy_by_instance.values())
 
-    def _input_values(self, inst: Instance) -> dict[str, LogicValue]:
-        return {
-            pin.name: self.netlist.nets[inst.net_of(pin.name)].value
-            for pin in inst.cell.input_pins
-        }
-
-    def _update_combinational(self, inst: Instance, changed_pin: str,
+    def _update_combinational(self, gate: GateView, changed_pin: str,
                               event: Event) -> None:
-        outputs = inst.cell.evaluate(self._input_values(inst))
-        supply = self.netlist.supply_of(inst, event.time)
+        cell = gate.cell
+        outputs = cell.evaluate({pin: net.value for pin, net in gate.inputs})
+        supply = gate.supply(event.time)
         for out_pin, target in outputs.items():
-            out_net = inst.net_of(out_pin)
-            load = self.netlist.load_of(out_net)
-            delay = inst.cell.propagation_delay(
+            name, net, load, cause = gate.outputs[out_pin]
+            delay = cell.propagation_delay(
                 changed_pin, out_pin, supply, load
             )
-            self._schedule_output(
-                out_net, target, event.time, delay,
-                cause=f"{inst.name}.{out_pin}",
-            )
+            self._schedule_output(name, net, target, event.time, delay,
+                                  cause)
 
-    def _schedule_output(self, out_net: str, target: LogicValue,
-                         now: float, delay: float, *, cause: str) -> None:
-        pending = self._pending.get(out_net)
-        projected = (pending.value if pending is not None
-                     else self.netlist.nets[out_net].value)
+    def _schedule_output(self, name: str, net: Net, target: LogicValue,
+                         now: float, delay: float, cause: str) -> None:
+        pending = self._pending.get(name)
+        projected = pending.value if pending is not None else net.value
         if target == projected:
             return
         if pending is not None:
             pending.cancel()
-            del self._pending[out_net]
+            del self._pending[name]
         if math.isinf(delay):
             # Supply collapsed below threshold: the gate never resolves.
             return
-        if self.netlist.nets[out_net].value == target:
+        if net.value == target:
             return  # cancellation restored the steady state
-        ev = self.queue.schedule(now + delay, out_net, target, cause=cause)
-        self._pending[out_net] = ev
+        self._pending[name] = self.queue.schedule(now + delay, name, target,
+                                                  cause=cause)
 
-    def _update_sequential(self, inst: Instance, changed_pin: str,
+    def _update_sequential(self, gate: GateView, changed_pin: str, tag: int,
                            event: Event) -> None:
-        cell = inst.cell
+        cell = gate.cell
         if not isinstance(cell, DFlipFlop):
             raise SimulationError(
                 f"unsupported sequential cell {type(cell).__name__}"
             )
-        pin = cell.pin(changed_pin)
-        if pin.is_clock:
-            clock_net = self.netlist.nets[inst.net_of(changed_pin)]
+        if tag == CLOCK:
+            clock_net = gate.pins[changed_pin]
             rising = event.value == HIGH and clock_net.previous_value == LOW
             if not rising:
                 return
-            d_net = self.netlist.nets[inst.net_of("D")]
-            self._sample_ff(inst, cell, event.time, d_net)
-        elif changed_pin == "D":
-            self._check_hold(inst, cell, event.time)
+            self._sample_ff(gate, cell, event.time, gate.pins["D"])
+        elif tag == DATA:
+            self._check_hold(gate, cell, event.time)
 
-    def _sample_ff(self, inst: Instance, cell: DFlipFlop, t_clk: float,
-                   d_net) -> None:
-        supply = self.netlist.supply_of(inst, t_clk)
+    def _sample_ff(self, gate: GateView, cell: DFlipFlop, t_clk: float,
+                   d_net: Net) -> None:
+        supply = gate.supply(t_clk)
         if d_net.last_change == float("-inf"):
             new_value = old_value = d_net.value
             arrival = t_clk - 1.0  # effectively "long ago"
@@ -329,42 +338,40 @@ class SimulationEngine:
         )
         record = SampleRecord(
             time=t_clk,
-            instance=inst.name,
+            instance=gate.name,
             outcome=result.outcome.value,
             value=result.value,
             clk_to_q=result.clk_to_q,
             setup_margin=result.setup_margin,
         )
         self.trace.record_sample(record)
-        self._last_clock_edge[inst.name] = t_clk
-        self._last_sample[inst.name] = record
-        q_net = inst.net_of("Q")
-        self._schedule_output(
-            q_net, result.value, t_clk, result.clk_to_q,
-            cause=f"{inst.name}.Q",
-        )
+        self._last_clock_edge[gate.name] = t_clk
+        self._last_sample[gate.name] = record
+        name, net, _, cause = gate.outputs["Q"]
+        self._schedule_output(name, net, result.value, t_clk,
+                              result.clk_to_q, cause)
 
-    def _check_hold(self, inst: Instance, cell: DFlipFlop,
+    def _check_hold(self, gate: GateView, cell: DFlipFlop,
                     t_data: float) -> None:
-        t_clk = self._last_clock_edge.get(inst.name)
+        t_clk = self._last_clock_edge.get(gate.name)
         if t_clk is None:
             return
-        supply = self.netlist.supply_of(inst, t_data)
+        supply = gate.supply(t_data)
         scale = cell.model.supply_scale(supply)
         if math.isinf(scale):
             return
         if 0.0 <= t_data - t_clk < cell.hold_time * scale:
             # Data moved inside the hold window: the sample is corrupt.
-            q_net = inst.net_of("Q")
+            name, net, _, cause = gate.outputs["Q"]
             self._schedule_output(
-                q_net, UNKNOWN, t_data, cell.clk_to_q * scale,
-                cause=f"{inst.name}.Q(hold-violation)",
+                name, net, UNKNOWN, t_data, cell.clk_to_q * scale,
+                f"{cause}(hold-violation)",
             )
-            prev = self._last_sample.get(inst.name)
+            prev = self._last_sample.get(gate.name)
             if prev is not None:
                 self.trace.record_sample(SampleRecord(
                     time=t_data,
-                    instance=inst.name,
+                    instance=gate.name,
                     outcome="hold_corrupted",
                     value=UNKNOWN,
                     clk_to_q=cell.clk_to_q * scale,

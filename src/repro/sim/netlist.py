@@ -10,6 +10,9 @@ The structural model mirrors what the paper's sensor needs:
   supply net powering it, so the noisy ``VDD-n`` rail and the nominal
   control-logic rail coexist in one netlist (paper Fig. 6's central
   trick: sensor inverters on the noisy rail, everything else nominal).
+
+The event engine reads a netlist through its :class:`CompiledNetlist`,
+built on first use and dropped by every structural mutation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.cells.base import Cell, LogicValue, PinDirection, UNKNOWN
+from repro.cells.base import Cell, LogicValue, Pin, PinDirection, UNKNOWN
 from repro.errors import NetlistError
 from repro.sim.waveform import ConstantWaveform, Waveform
 
@@ -29,7 +32,9 @@ class Net:
     Attributes:
         name: Unique net name.
         extra_cap: Explicit capacitance attached to the net, farads
-            (the sensor's load ``C``).
+            (the sensor's load ``C``).  It may be changed in place: the
+            netlist's next :meth:`Netlist.validate` (so its next
+            engine) and :meth:`Netlist.load_of` see the new value.
         value: Current logic value (engine-owned at run time).
         last_change: Time of the most recent transition, seconds.
         previous_value: Value held before the most recent transition.
@@ -100,10 +105,7 @@ class _PinRef:
 
     instance: Instance
     pin_name: str
-
-    @property
-    def pin(self):
-        return self.instance.cell.pin(self.pin_name)
+    pin: Pin
 
 
 class Netlist:
@@ -117,6 +119,7 @@ class Netlist:
         self._sinks: dict[str, list[_PinRef]] = {}
         self._driver: dict[str, _PinRef] = {}
         self._external_inputs: set[str] = set()
+        self._view: CompiledNetlist | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -128,6 +131,7 @@ class Netlist:
         """
         self._check_fresh_name(name)
         net = Net(name=name, extra_cap=extra_cap)
+        self._view = None
         self.nets[name] = net
         self._sinks[name] = []
         return net
@@ -139,12 +143,17 @@ class Netlist:
         if isinstance(waveform, (int, float)):
             waveform = ConstantWaveform(float(waveform))
         rail = SupplyNet(name=name, waveform=waveform, is_ground=is_ground)
+        self._view = None
         self.supplies[name] = rail
         return rail
 
     def set_supply_waveform(self, name: str,
                             waveform: Waveform | float) -> None:
-        """Rebind a rail's waveform (e.g. a new noise trace per run)."""
+        """Rebind a rail's waveform (e.g. a new noise trace per run).
+
+        The rail object is updated in place, so a compiled view (and
+        any engine holding one) sees the new waveform.
+        """
         if name not in self.supplies:
             raise NetlistError(f"unknown supply rail {name!r}")
         if isinstance(waveform, (int, float)):
@@ -184,8 +193,10 @@ class Netlist:
             del pin
         inst = Instance(name=name, cell=cell,
                         connections=dict(connections), vdd=vdd, gnd=gnd)
+        self._view = None
         for pin_name, net_name in connections.items():
-            ref = _PinRef(instance=inst, pin_name=pin_name)
+            ref = _PinRef(instance=inst, pin_name=pin_name,
+                          pin=cell.pin(pin_name))
             if ref.pin.direction is PinDirection.OUTPUT:
                 if net_name in self._driver:
                     other = self._driver[net_name]
@@ -215,6 +226,7 @@ class Netlist:
                 f"net {net_name!r} already driven by "
                 f"{ref.instance.name}.{ref.pin_name}"
             )
+        self._view = None
         self._external_inputs.add(net_name)
 
     def _check_fresh_name(self, name: str) -> None:
@@ -223,15 +235,20 @@ class Netlist:
 
     # -- queries ----------------------------------------------------------
 
-    def sinks_of(self, net_name: str) -> list[_PinRef]:
-        """Input-pin endpoints fanned out from a net."""
-        if net_name not in self.nets:
-            raise NetlistError(f"unknown net {net_name!r}")
-        return list(self._sinks[net_name])
+    def compiled(self) -> CompiledNetlist:
+        """The run-invariant view of this netlist, built on first use.
 
-    def driver_of(self, net_name: str) -> _PinRef | None:
-        """The output pin driving a net, or None for inputs/floaters."""
-        return self._driver.get(net_name)
+        Every structural mutation (:meth:`add_net`, :meth:`add_supply`,
+        :meth:`add_instance`, :meth:`mark_external_input`) drops it, so
+        the next call rebuilds it; :meth:`validate` and :meth:`load_of`
+        also rebuild it when a net's ``extra_cap`` changed in place.
+        Rail waveforms and net values are not part of it: the view
+        holds the live :class:`SupplyNet` and :class:`Net` objects.
+        """
+        view = self._view
+        if view is None:
+            view = self._view = CompiledNetlist(self)
+        return view
 
     def is_external_input(self, net_name: str) -> bool:
         return net_name in self._external_inputs
@@ -244,18 +261,17 @@ class Netlist:
         delay model (the driver's own intrinsic cap lives inside the
         cell model).
         """
-        net = self.nets.get(net_name)
-        if net is None:
+        node = self.compiled().nodes.get(net_name)
+        if node is None:
             raise NetlistError(f"unknown net {net_name!r}")
-        return net.extra_cap + sum(
-            ref.pin.cap for ref in self._sinks[net_name]
-        )
+        if node.extra_cap != node.net.extra_cap:  # changed in place
+            self._view = None
+            node = self.compiled().nodes[net_name]
+        return node.load
 
     def supply_of(self, inst: Instance, t: float) -> float:
         """Effective supply (vdd - gnd) seen by an instance at time t."""
-        vdd = self.supplies[inst.vdd].voltage(t)
-        gnd = self.supplies[inst.gnd].voltage(t)
-        return vdd - gnd
+        return self.compiled().gates[inst.name].supply(t)
 
     def validate(self) -> None:
         """Structural sanity check of the whole netlist.
@@ -267,19 +283,14 @@ class Netlist:
         Raises:
             NetlistError: describing the first violation found.
         """
-        for net_name, sinks in self._sinks.items():
-            if not sinks:
-                continue
-            if net_name in self._driver:
-                continue
-            if net_name in self._external_inputs:
-                continue
-            consumer = sinks[0]
-            raise NetlistError(
-                f"net {net_name!r} feeds "
-                f"{consumer.instance.name}.{consumer.pin_name} but has no "
-                f"driver and is not a declared external input"
-            )
+        view = self.compiled()
+        if any(node.extra_cap != node.net.extra_cap
+               for node in view.nodes.values()):
+            # A net's cap was changed in place: rebuild the view rather
+            # than let the next engine run on stale loads.
+            view = self._view = CompiledNetlist(self)
+        if view.problem is not None:
+            raise NetlistError(view.problem)
 
     def stats(self) -> dict[str, int]:
         """Cell-count accounting (used by the overhead bench)."""
@@ -293,3 +304,131 @@ class Netlist:
 
     def iter_instances(self) -> Iterable[Instance]:
         return self.instances.values()
+
+
+#: Fanout tags of :attr:`NetView.fanout`: what an event on a net does at
+#: one sink pin.
+COMBINATIONAL = 0  # re-evaluate the (combinational) cell
+CLOCK = 1          # clock pin of a sequential cell: sample on a rising edge
+DATA = 2           # ``D`` pin of a sequential cell: hold check
+SEQUENTIAL = 3     # any other pin of a sequential cell: nothing
+
+
+class GateView:
+    """One instance as the engine reads it.
+
+    Attributes:
+        name / cell: The placed instance's name and cell.
+        vdd / gnd: Its two rail objects (waveforms are read live).
+        inputs: ``(pin, Net)`` per input pin, in the cell's pin order.
+        pins: Pin name -> :class:`Net` for every connection.
+        outputs: Output pin -> ``(net name, Net, load, cause)``; the
+            cause is the event's debug string ``"<instance>.<pin>"``.
+    """
+
+    __slots__ = ("name", "cell", "vdd", "gnd", "inputs", "pins", "outputs")
+
+    def __init__(self, inst: Instance, netlist: Netlist) -> None:
+        nets = netlist.nets
+        cell = inst.cell
+        self.name = inst.name
+        self.cell = cell
+        self.vdd = netlist.supplies[inst.vdd]
+        self.gnd = netlist.supplies[inst.gnd]
+        self.pins = {pin: nets[net]
+                     for pin, net in inst.connections.items()}
+        self.inputs = tuple([(pin.name, self.pins[pin.name])
+                             for pin in cell.input_pins])
+        self.outputs: dict[str, tuple[str, Net, float, str]] = {}
+
+    def supply(self, t: float) -> float:
+        """Effective supply (vdd - gnd) at time ``t``."""
+        return self.vdd.waveform(t) - self.gnd.waveform(t)
+
+
+class NetView:
+    """One net as the engine reads it.
+
+    Attributes:
+        net: The live :class:`Net`.
+        extra_cap: ``net.extra_cap`` when the view was built.
+        load: Explicit cap plus fanout pin caps
+            (:meth:`Netlist.load_of`).
+        fanout: ``(gate, pin, tag)`` per sink pin, in wiring order.
+        driver: The driving gate, or None for inputs and floaters.
+        energy_cap: ``load`` plus the driver's intrinsic cap: the
+            capacitance one transition (dis)charges.
+    """
+
+    __slots__ = ("net", "extra_cap", "load", "fanout", "driver",
+                 "energy_cap")
+
+
+class CompiledNetlist:
+    """The run-invariant view of a :class:`Netlist`.
+
+    Built by :meth:`Netlist.compiled` so that the engine does not
+    re-derive structure on every event: each net's load and its
+    driver's energy cap, tagged fanout tuples, each instance's rails,
+    input pairs and output ``(net, load, cause)`` entries, and the
+    first :meth:`Netlist.validate` violation (``problem``, None when
+    clean).
+
+    Attributes:
+        nodes: Net name -> :class:`NetView`, in net creation order.
+        gates: Instance name -> :class:`GateView`, in placement order.
+        problem: Validation message, or None.
+    """
+
+    __slots__ = ("nodes", "gates", "problem")
+
+    def __init__(self, netlist: Netlist) -> None:
+        gates = {name: GateView(inst, netlist)
+                 for name, inst in netlist.instances.items()}
+        drivers = netlist._driver
+        self.problem: str | None = None
+        self.nodes: dict[str, NetView] = {}
+        for name, net in netlist.nets.items():
+            sinks = netlist._sinks[name]
+            node = NetView()
+            node.net = net
+            node.extra_cap = net.extra_cap
+            # Pin caps summed in wiring order, then added to the explicit
+            # cap: the float every golden delay and energy was made with.
+            node.load = net.extra_cap + sum([ref.pin.cap for ref in sinks])
+            node.fanout = tuple([
+                (gates[ref.instance.name], ref.pin_name, _sink_tag(ref))
+                for ref in sinks
+            ])
+            ref = drivers.get(name)
+            if ref is None:
+                node.driver = None
+                node.energy_cap = node.load
+                if (sinks and self.problem is None
+                        and name not in netlist._external_inputs):
+                    consumer = sinks[0]
+                    self.problem = (
+                        f"net {name!r} feeds "
+                        f"{consumer.instance.name}.{consumer.pin_name} "
+                        f"but has no driver and is not a declared "
+                        f"external input"
+                    )
+            else:
+                driver = gates[ref.instance.name]
+                node.driver = driver
+                node.energy_cap = (node.load
+                                   + driver.cell.model.intrinsic_cap)
+                driver.outputs[ref.pin_name] = (
+                    name, net, node.load,
+                    f"{driver.name}.{ref.pin_name}",
+                )
+            self.nodes[name] = node
+        self.gates = gates
+
+
+def _sink_tag(ref: _PinRef) -> int:
+    if not ref.instance.cell.is_sequential:
+        return COMBINATIONAL
+    if ref.pin.is_clock:
+        return CLOCK
+    return DATA if ref.pin_name == "D" else SEQUENTIAL

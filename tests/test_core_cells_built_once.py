@@ -4,7 +4,8 @@
 when it is constructed, and each event-driven harness builds its
 ``PulseGenerator`` when it is constructed.  After that, measuring
 builds no cell, and every result equals the result of a freshly
-constructed owner.
+constructed owner.  ``coverage_study`` re-arms one fault injector, so
+it builds one array harness per call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 from repro.cells.combinational import Inverter
 from repro.cells.sequential import DFlipFlop
 from repro.core.array import SensorArray, SensorArrayHarness
-from repro.core.faults import FaultInjector, FaultType
+from repro.core.faults import FaultInjector, FaultType, coverage_study
 from repro.core.pulsegen import PulseGenerator
 from repro.core.sensor import SenseRail, SensorBitHarness
 from repro.devices.corners import CORNERS
@@ -139,3 +140,35 @@ def test_fault_screen_builds_no_cells(design, setup, builds):
         fresh = FaultInjector(design, rail, tech)
         fresh.inject(*fault)
         assert result == screen(fresh, code, x)
+
+
+def test_coverage_study_builds_one_harness(design, monkeypatch):
+    built = []
+    init = SensorArrayHarness.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SensorArrayHarness, "__init__", counted)
+    assert coverage_study(design) == {
+        "out_stuck_pass": 1.0, "out_stuck_fail": 1.0,
+        "ds_stuck_prepare": 1.0, "ds_stuck_sense": 1.0, "overall": 1.0,
+    }
+    assert len(built) == 1
+
+
+def test_rearmed_injector_screens_like_fresh_ones(design):
+    """Re-arming one injector gives every screen a fresh one gives."""
+    levels = (design.bit_threshold(1, 3) - 0.05,
+              design.bit_threshold(design.n_bits, 3) + 0.05)
+    rearmed = FaultInjector(design)
+    for fault in FaultType:
+        for bit in (1, 4, design.n_bits):
+            rearmed.inject(fault, bit)
+            fresh = FaultInjector(design)
+            fresh.inject(fault, bit)
+            for level in levels:
+                kwargs = {"code": 3, "vdd_n": level,
+                          "reference_level": level}
+                assert rearmed.screen(**kwargs) == fresh.screen(**kwargs)

@@ -169,6 +169,5 @@ def test_gnd_harness_ignores_vdd_noise(design):
     h = SensorArrayHarness(design, rail=SenseRail.GND)
     clean = h.measure_once(3, gnd_n=0.0)
     # VDDN noise present but GNDN quiet:
-    h.netlist.set_supply_waveform("VDDN", ConstantWaveform(0.85))
-    noisy_vdd = h.measure_once(3, gnd_n=0.0)
+    noisy_vdd = h.measure_once(3, vdd_n=ConstantWaveform(0.85), gnd_n=0.0)
     assert clean.word == noisy_vdd.word
