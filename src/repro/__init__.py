@@ -29,65 +29,45 @@ Quickstart::
         print(measure.word.to_string(), measure.decoded)
 """
 
-from repro.core.calibration import (
-    SensorDesign,
-    fit_paper_design,
-    paper_design,
-)
-from repro.core.sensor import SenseRail, SensorBit, SensorBitHarness
-from repro.core.array import SensorArray, SensorArrayHarness
-from repro.core.pulsegen import PulseGenerator, PulseGeneratorHarness
-from repro.core.encoder import ThermometerEncoder
-from repro.core.counter import MeasurementCounter
-from repro.core.control import ControlFSM, ControlState
-from repro.core.system import MeasurementResult, SensorSystem, SystemRun
-from repro.core.trimming import TrimmingPolicy, retrim_for_corner
-from repro.core.scanchain import PSNScanChain
-from repro.core.autorange import AutoRangingMeter
-from repro.core.monitor import NoiseMonitor
-from repro.analysis.thermometer import (
-    ThermometerWord,
-    VoltageRange,
-    decode_word,
-)
-from repro.analysis.yield_study import run_yield_study
-from repro.devices.technology import TECH_90NM, Technology
-from repro.devices.corners import CORNERS, corner_by_name
-from repro.errors import ReproError
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SensorDesign",
-    "fit_paper_design",
-    "paper_design",
-    "SenseRail",
-    "SensorBit",
-    "SensorBitHarness",
-    "SensorArray",
-    "SensorArrayHarness",
-    "PulseGenerator",
-    "PulseGeneratorHarness",
-    "ThermometerEncoder",
-    "MeasurementCounter",
-    "ControlFSM",
-    "ControlState",
-    "MeasurementResult",
-    "SensorSystem",
-    "SystemRun",
-    "TrimmingPolicy",
-    "retrim_for_corner",
-    "PSNScanChain",
-    "AutoRangingMeter",
-    "NoiseMonitor",
-    "run_yield_study",
-    "ThermometerWord",
-    "VoltageRange",
-    "decode_word",
-    "TECH_90NM",
-    "Technology",
-    "CORNERS",
-    "corner_by_name",
-    "ReproError",
-    "__version__",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "SensorDesign": ".core.calibration",
+    "fit_paper_design": ".core.calibration",
+    "paper_design": ".core.calibration",
+    "SenseRail": ".core.sensor",
+    "SensorBit": ".core.sensor",
+    "SensorBitHarness": ".core.sensor",
+    "SensorArray": ".core.array",
+    "SensorArrayHarness": ".core.array",
+    "PulseGenerator": ".core.pulsegen",
+    "PulseGeneratorHarness": ".core.pulsegen",
+    "ThermometerEncoder": ".core.encoder",
+    "MeasurementCounter": ".core.counter",
+    "ControlFSM": ".core.control",
+    "ControlState": ".core.control",
+    "MeasurementResult": ".core.system",
+    "SensorSystem": ".core.system",
+    "SystemRun": ".core.system",
+    "TrimmingPolicy": ".core.trimming",
+    "retrim_for_corner": ".core.trimming",
+    "PSNScanChain": ".core.scanchain",
+    "AutoRangingMeter": ".core.autorange",
+    "NoiseMonitor": ".core.monitor",
+    "run_yield_study": ".analysis.yield_study",
+    "ThermometerWord": ".analysis.thermometer",
+    "VoltageRange": ".analysis.thermometer",
+    "decode_word": ".analysis.thermometer",
+    "TECH_90NM": ".devices.technology",
+    "Technology": ".devices.technology",
+    "CORNERS": ".devices.corners",
+    "corner_by_name": ".devices.corners",
+    "ReproError": ".errors",
+    "__version__": ".",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

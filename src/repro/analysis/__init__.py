@@ -13,45 +13,27 @@ aggregates repeated measures into waveform estimates:
   noise values can be captured in different moments").
 """
 
-from repro.analysis.thermometer import (
-    ThermometerWord,
-    VoltageRange,
-    decode_word,
-    decode_table,
-)
-from repro.analysis.statistics import (
-    quantization_step,
-    range_error,
-    tracking_rmse,
-    coverage_probability,
-)
-from repro.analysis.reconstruct import WaveformReconstructor
-from repro.analysis.yield_study import run_yield_study, YieldReport
-from repro.analysis.repeatability import (
-    measure_s_curve,
-    extract_ladder_via_s_curves,
-    word_histogram,
-)
-from repro.analysis.converter_metrics import (
-    linearity,
-    effective_resolution_bits,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ThermometerWord",
-    "VoltageRange",
-    "decode_word",
-    "decode_table",
-    "quantization_step",
-    "range_error",
-    "tracking_rmse",
-    "coverage_probability",
-    "WaveformReconstructor",
-    "run_yield_study",
-    "YieldReport",
-    "measure_s_curve",
-    "extract_ladder_via_s_curves",
-    "word_histogram",
-    "linearity",
-    "effective_resolution_bits",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "ThermometerWord": ".thermometer",
+    "VoltageRange": ".thermometer",
+    "decode_word": ".thermometer",
+    "decode_table": ".thermometer",
+    "quantization_step": ".statistics",
+    "range_error": ".statistics",
+    "tracking_rmse": ".statistics",
+    "coverage_probability": ".statistics",
+    "WaveformReconstructor": ".reconstruct",
+    "run_yield_study": ".yield_study",
+    "YieldReport": ".yield_study",
+    "measure_s_curve": ".repeatability",
+    "extract_ladder_via_s_curves": ".repeatability",
+    "word_histogram": ".repeatability",
+    "linearity": ".converter_metrics",
+    "effective_resolution_bits": ".converter_metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -51,8 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _sense_rail():
-    # Imported lazily: repro.core imports repro.analysis at package
-    # load, so a module-level import here would be circular.
+    # Imported at the call: repro.core.sensor loads the cell and
+    # simulator layers, which the kernel paths here never touch.
     from repro.core.sensor import SenseRail
 
     return SenseRail

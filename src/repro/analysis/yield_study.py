@@ -43,8 +43,6 @@ from repro.runtime import (
 from repro.runtime.resilient import FAILURE_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily at call sites: repro.core imports repro.analysis
-    # at package load, so a module-level import would be circular.
     from repro.core.calibration import SensorDesign
 
 
@@ -255,8 +253,6 @@ def run_yield_study(design: "SensorDesign",
     supply_grid = tuple(float(v) for v in supplies)
 
     lot = variation.sample_lot(n_dies, design.n_bits, seed=seed)
-    # Imported lazily: repro.core imports repro.analysis at package
-    # load, so a module-level backends import would be circular.
     from repro.backends import BACKEND_ENV, BackendError, resolve_backend
 
     if backend is not None or os.environ.get(BACKEND_ENV):

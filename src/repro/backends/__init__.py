@@ -34,34 +34,48 @@ Quickstart — record once, replay forever::
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.backends.base import (
-    BACKEND_PROTOCOL,
-    BackendCapabilities,
-    BackendMeasure,
-    SensorBackend,
-)
-from repro.backends.faults import FaultInjectingBackend, InjectedFaultError
-from repro.backends.kernel import KernelBackend
-from repro.backends.recording import RecordingBackend
-from repro.backends.replay import ReplayBackend
-from repro.backends.sim import SimBackend
-from repro.backends.trace import (
-    TRACE_SCHEMA,
-    Trace,
-    TraceHeader,
-    TraceWriter,
-)
+from repro._lazy import lazy_exports
 from repro.errors import BackendError
+
+if TYPE_CHECKING:
+    from repro.backends.base import SensorBackend
+
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "BACKEND_ENV": ".",
+    "BACKEND_PROTOCOL": ".base",
+    "BackendCapabilities": ".base",
+    "BackendMeasure": ".base",
+    "FaultInjectingBackend": ".faults",
+    "InjectedFaultError": ".faults",
+    "KernelBackend": ".kernel",
+    "RecordingBackend": ".recording",
+    "ReplayBackend": ".replay",
+    "SensorBackend": ".base",
+    "SimBackend": ".sim",
+    "TRACE_SCHEMA": ".trace",
+    "Trace": ".trace",
+    "TraceHeader": ".trace",
+    "TraceWriter": ".trace",
+    "available": ".",
+    "get": ".",
+    "register": ".",
+    "resolve_backend": ".",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 #: Environment variable naming the default driver spec.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Spec name -> zero-argument driver factory.
+#: Spec name -> zero-argument driver factory (the stock drivers'
+#: modules load on their first construction).
 _REGISTRY: dict[str, Callable[[], SensorBackend]] = {
-    "kernel": KernelBackend,
-    "sim": SimBackend,
+    "kernel": lambda: __getattr__("KernelBackend")(),
+    "sim": lambda: __getattr__("SimBackend")(),
 }
 
 
@@ -97,6 +111,8 @@ def get(spec: str) -> SensorBackend:
             raise BackendError(
                 "replay spec needs a trace path: 'replay:<path>'"
             )
+        from repro.backends.replay import ReplayBackend
+
         return ReplayBackend(path)
     factory = _REGISTRY.get(spec)
     if factory is None:
@@ -114,31 +130,11 @@ def resolve_backend(backend: "SensorBackend | str | None",
     Precedence: an explicit instance > an explicit spec string > the
     ``REPRO_BACKEND`` environment variable > ``default``.
     """
+    from repro.backends.base import SensorBackend
+
     if isinstance(backend, SensorBackend):
         return backend
     if backend is not None:
         return get(backend)
     return get(os.environ.get(BACKEND_ENV) or default)
 
-
-__all__ = [
-    "BACKEND_ENV",
-    "BACKEND_PROTOCOL",
-    "BackendCapabilities",
-    "BackendMeasure",
-    "FaultInjectingBackend",
-    "InjectedFaultError",
-    "KernelBackend",
-    "RecordingBackend",
-    "ReplayBackend",
-    "SensorBackend",
-    "SimBackend",
-    "TRACE_SCHEMA",
-    "Trace",
-    "TraceHeader",
-    "TraceWriter",
-    "available",
-    "get",
-    "register",
-    "resolve_backend",
-]

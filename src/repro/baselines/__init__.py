@@ -17,17 +17,16 @@ qualitative claims become benches:
   reference that a digital sensor trades against.
 """
 
-from repro.baselines.ring_oscillator import (
-    RingOscillatorSensor,
-    RingOscillatorHarness,
-)
-from repro.baselines.razor import RazorStage, RazorObservation
-from repro.baselines.analog_sampler import IdealAnalogSampler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RingOscillatorSensor",
-    "RingOscillatorHarness",
-    "RazorStage",
-    "RazorObservation",
-    "IdealAnalogSampler",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "RingOscillatorSensor": ".ring_oscillator",
+    "RingOscillatorHarness": ".ring_oscillator",
+    "RazorStage": ".razor",
+    "RazorObservation": ".razor",
+    "IdealAnalogSampler": ".analog_sampler",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

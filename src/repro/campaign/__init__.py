@@ -43,62 +43,37 @@ Quickstart::
 CLI: ``repro campaign validate|run|resume|diff``.
 """
 
-from repro.campaign.diff import DiffReport, Divergence, diff_campaign
-from repro.campaign.manifest import (
-    MANIFEST_SCHEMA,
-    provenance_info,
-    read_manifest,
-    read_stage_payload,
-)
-from repro.campaign.runner import (
-    CampaignRun,
-    StageRecord,
-    campaign_fingerprint,
-    run_campaign,
-)
-from repro.campaign.scheduler import (
-    DEFAULT_STAGE_WORKERS,
-    StageOutcome,
-    execute_outcomes,
-    finalize_records,
-)
-from repro.campaign.schema import CAMPAIGN_SCHEMA, EXECUTION_MODES, \
-    validate_spec_mapping
-from repro.campaign.spec import (
-    CampaignSpec,
-    ChaosSpec,
-    CheckSpec,
-    StageSpec,
-    load_spec,
-    spec_from_mapping,
-)
-from repro.campaign.stages import NONDETERMINISTIC_KINDS, STAGE_KINDS
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_SCHEMA",
-    "CampaignRun",
-    "CampaignSpec",
-    "ChaosSpec",
-    "CheckSpec",
-    "DEFAULT_STAGE_WORKERS",
-    "DiffReport",
-    "Divergence",
-    "EXECUTION_MODES",
-    "MANIFEST_SCHEMA",
-    "NONDETERMINISTIC_KINDS",
-    "STAGE_KINDS",
-    "StageOutcome",
-    "StageRecord",
-    "StageSpec",
-    "campaign_fingerprint",
-    "diff_campaign",
-    "execute_outcomes",
-    "finalize_records",
-    "load_spec",
-    "provenance_info",
-    "read_manifest",
-    "read_stage_payload",
-    "run_campaign",
-    "spec_from_mapping",
-    "validate_spec_mapping",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "CAMPAIGN_SCHEMA": ".schema",
+    "CampaignRun": ".runner",
+    "CampaignSpec": ".spec",
+    "ChaosSpec": ".spec",
+    "CheckSpec": ".spec",
+    "DEFAULT_STAGE_WORKERS": ".scheduler",
+    "DiffReport": ".diff",
+    "Divergence": ".diff",
+    "EXECUTION_MODES": ".schema",
+    "MANIFEST_SCHEMA": ".manifest",
+    "NONDETERMINISTIC_KINDS": ".stages",
+    "STAGE_KINDS": ".stages",
+    "StageOutcome": ".scheduler",
+    "StageRecord": ".runner",
+    "StageSpec": ".spec",
+    "campaign_fingerprint": ".runner",
+    "diff_campaign": ".diff",
+    "execute_outcomes": ".scheduler",
+    "finalize_records": ".scheduler",
+    "load_spec": ".spec",
+    "provenance_info": ".manifest",
+    "read_manifest": ".manifest",
+    "read_stage_payload": ".manifest",
+    "run_campaign": ".runner",
+    "spec_from_mapping": ".spec",
+    "validate_spec_mapping": ".schema",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -29,10 +29,9 @@ from __future__ import annotations
 import json
 import math
 import platform
+import sys
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from repro.errors import CampaignError
 
@@ -54,6 +53,8 @@ def provenance_info() -> dict[str, str]:
     dtype, the MC seed scheme, and every wire-format schema tag.
     ``repro versions`` prints exactly this table; manifests embed it.
     """
+    import numpy
+
     import repro
     from repro.backends.base import BACKEND_PROTOCOL
     from repro.backends.trace import TRACE_SCHEMA
@@ -74,7 +75,7 @@ def provenance_info() -> dict[str, str]:
     return {
         "repro": repro.__version__,
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": numpy.__version__,
         "numba": numba_version,
         "kernel_layout": KERNEL_LAYOUT_VERSION,
         "kernel_backend": backend_token(),
@@ -96,7 +97,9 @@ def jsonify(value: Any, *, path: str = "$") -> Any:
     :class:`~repro.errors.CampaignError` naming the offending path
     (payloads must encode them as ``None`` explicitly).
     """
-    if isinstance(value, np.generic):
+    # A NumPy value can only exist once NumPy is imported.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.generic):
         value = value.item()
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -107,7 +110,7 @@ def jsonify(value: Any, *, path: str = "$") -> Any:
                 f"encode it as null explicitly"
             )
         return value
-    if isinstance(value, np.ndarray):
+    if np is not None and isinstance(value, np.ndarray):
         return jsonify(value.tolist(), path=path)
     if isinstance(value, dict):
         return {str(k): jsonify(v, path=f"{path}.{k}")

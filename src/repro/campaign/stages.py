@@ -67,7 +67,6 @@ from repro.runtime.cache import (
     task_key,
 )
 from repro.runtime.chaos import ChaosMonkey, KillOnceTask, enumerate_for
-from repro.runtime.resilient import resilient_cached_map
 
 #: Stage kinds whose payloads may differ between runs (wall-clock
 #: latencies, kill schedules).  The runner marks them in the manifest
@@ -205,6 +204,7 @@ def _run_threshold_sweep(ctx: StageContext,
         _sim_threshold_task,
     )
     from repro.core.sensor import SenseRail
+    from repro.runtime.resilient import resilient_cached_map
 
     code = int(stage.param("code", 3))
     tol = float(stage.param("tol", 5e-3))

@@ -14,58 +14,37 @@ alpha-power device model (:mod:`repro.devices`):
 * :mod:`repro.cells.characterize` — NLDM-style lookup-table generation.
 """
 
-from repro.cells.base import (
-    LOW,
-    HIGH,
-    UNKNOWN,
-    LogicValue,
-    PinDirection,
-    Pin,
-    Cell,
-)
-from repro.cells.combinational import (
-    Inverter,
-    Buffer,
-    Nand2,
-    Nor2,
-    And2,
-    Or2,
-    Xor2,
-    Xnor2,
-    Aoi21,
-    Oai21,
-    Mux2,
-)
-from repro.cells.sequential import DFlipFlop, SampleOutcome, SampleResult
-from repro.cells.delay_elements import DelayElement
-from repro.cells.library import StdCellLibrary, default_library
-from repro.cells.characterize import NLDMTable, characterize_cell
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LOW",
-    "HIGH",
-    "UNKNOWN",
-    "LogicValue",
-    "PinDirection",
-    "Pin",
-    "Cell",
-    "Inverter",
-    "Buffer",
-    "Nand2",
-    "Nor2",
-    "And2",
-    "Or2",
-    "Xor2",
-    "Xnor2",
-    "Aoi21",
-    "Oai21",
-    "Mux2",
-    "DFlipFlop",
-    "SampleOutcome",
-    "SampleResult",
-    "DelayElement",
-    "StdCellLibrary",
-    "default_library",
-    "NLDMTable",
-    "characterize_cell",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "LOW": ".base",
+    "HIGH": ".base",
+    "UNKNOWN": ".base",
+    "LogicValue": ".base",
+    "PinDirection": ".base",
+    "Pin": ".base",
+    "Cell": ".base",
+    "Inverter": ".combinational",
+    "Buffer": ".combinational",
+    "Nand2": ".combinational",
+    "Nor2": ".combinational",
+    "And2": ".combinational",
+    "Or2": ".combinational",
+    "Xor2": ".combinational",
+    "Xnor2": ".combinational",
+    "Aoi21": ".combinational",
+    "Oai21": ".combinational",
+    "Mux2": ".combinational",
+    "DFlipFlop": ".sequential",
+    "SampleOutcome": ".sequential",
+    "SampleResult": ".sequential",
+    "DelayElement": ".delay_elements",
+    "StdCellLibrary": ".library",
+    "default_library": ".library",
+    "NLDMTable": ".characterize",
+    "characterize_cell": ".characterize",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

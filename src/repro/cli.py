@@ -63,7 +63,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.calibration import paper_design
 from repro.units import to_ns, to_pf, to_ps
 
 
@@ -142,6 +141,8 @@ def _char_route(args: argparse.Namespace) -> dict:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
+
     d = paper_design()
     print("Calibrated design (anchored to the paper's published data)")
     print(f"  technology       : {d.tech.name}")
@@ -158,6 +159,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.pulsegen import PulseGenerator, PulseGeneratorHarness
 
     d = paper_design()
@@ -179,6 +181,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.characterization import threshold_vs_capacitance
     from repro.units import PF
 
@@ -198,6 +201,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.characterization import characterize_array
 
     d = paper_design()
@@ -220,6 +224,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.system import SensorSystem
     from repro.sim.waveform import StepWaveform
     from repro.units import NS
@@ -237,6 +242,7 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.control import build_control_netlist
     from repro.sta.analysis import analyze
     from repro.sta.hold import analyze_hold
@@ -262,6 +268,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     from repro.backends import BACKEND_ENV, RecordingBackend, \
         ReplayBackend, resolve_backend
     from repro.core.autorange import AutoRangingMeter
+    from repro.core.calibration import paper_design
     from repro.core.sensor import SenseRail
 
     recording = None
@@ -307,6 +314,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.scanchain import PSNScanChain
     from repro.psn.grid import IRDropGrid
 
@@ -337,6 +345,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_yield(args: argparse.Namespace) -> int:
     from repro.analysis.yield_study import run_yield_study
+    from repro.core.calibration import paper_design
     from repro.devices.variation import VariationModel
 
     d = paper_design()
@@ -631,6 +640,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     """
     import json
 
+    from repro.core.calibration import paper_design
     from repro.telemetry import (
         TelemetryPipeline,
         array_source,
@@ -795,6 +805,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from repro.core.calibration import paper_design
     from repro.core.faults import coverage_study
 
     d = paper_design()

@@ -21,57 +21,41 @@ Layout (mirroring the paper's block diagram, Fig. 6):
 * :mod:`repro.core.scanchain` — multi-point PSN scan chain.
 """
 
-from repro.core.calibration import SensorDesign, fit_paper_design, paper_design
-from repro.core.sensor import SenseRail, SensorBit, SensorBitHarness
-from repro.core.array import SensorArray, SensorArrayHarness
-from repro.core.pulsegen import PulseGenerator
-from repro.core.encoder import ThermometerEncoder
-from repro.core.counter import MeasurementCounter
-from repro.core.control import ControlFSM, ControlState
-from repro.core.system import SensorSystem, MeasurementResult
-from repro.core.characterization import (
-    characterize_bit_thresholds,
-    characterize_array,
-    threshold_vs_capacitance,
-)
-from repro.core.trimming import TrimmingPolicy, retrim_for_corner
-from repro.core.scanchain import PSNScanChain
-from repro.core.autorange import AutoRangingMeter
-from repro.core.monitor import NoiseMonitor
-from repro.core.scan_register import ScanRegisterHarness
-from repro.core.faults import FaultInjector, FaultType, coverage_study
-from repro.core.calibrated_decoder import MeasuredDecoder
-from repro.core.guardband import GuardbandController, GuardbandAction
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SensorDesign",
-    "fit_paper_design",
-    "paper_design",
-    "SenseRail",
-    "SensorBit",
-    "SensorBitHarness",
-    "SensorArray",
-    "SensorArrayHarness",
-    "PulseGenerator",
-    "ThermometerEncoder",
-    "MeasurementCounter",
-    "ControlFSM",
-    "ControlState",
-    "SensorSystem",
-    "MeasurementResult",
-    "characterize_bit_thresholds",
-    "characterize_array",
-    "threshold_vs_capacitance",
-    "TrimmingPolicy",
-    "retrim_for_corner",
-    "PSNScanChain",
-    "AutoRangingMeter",
-    "NoiseMonitor",
-    "ScanRegisterHarness",
-    "FaultInjector",
-    "FaultType",
-    "coverage_study",
-    "MeasuredDecoder",
-    "GuardbandController",
-    "GuardbandAction",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "SensorDesign": ".calibration",
+    "fit_paper_design": ".calibration",
+    "paper_design": ".calibration",
+    "SenseRail": ".sensor",
+    "SensorBit": ".sensor",
+    "SensorBitHarness": ".sensor",
+    "SensorArray": ".array",
+    "SensorArrayHarness": ".array",
+    "PulseGenerator": ".pulsegen",
+    "ThermometerEncoder": ".encoder",
+    "MeasurementCounter": ".counter",
+    "ControlFSM": ".control",
+    "ControlState": ".control",
+    "SensorSystem": ".system",
+    "MeasurementResult": ".system",
+    "characterize_bit_thresholds": ".characterization",
+    "characterize_array": ".characterization",
+    "threshold_vs_capacitance": ".characterization",
+    "TrimmingPolicy": ".trimming",
+    "retrim_for_corner": ".trimming",
+    "PSNScanChain": ".scanchain",
+    "AutoRangingMeter": ".autorange",
+    "NoiseMonitor": ".monitor",
+    "ScanRegisterHarness": ".scan_register",
+    "FaultInjector": ".faults",
+    "FaultType": ".faults",
+    "coverage_study": ".faults",
+    "MeasuredDecoder": ".calibrated_decoder",
+    "GuardbandController": ".guardband",
+    "GuardbandAction": ".guardband",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -125,6 +125,7 @@ class SensorSystem:
         self.netlist = nl
 
         self._ports = {}
+        self._decoders = {}
         self._build_chain(SenseRail.VDD, "h")
         if self.include_ls:
             self._build_chain(SenseRail.GND, "l")
@@ -255,7 +256,11 @@ class SensorSystem:
                  code: int) -> tuple[MeasurementResult, ...]:
         design = self.design
         encoder = ThermometerEncoder(design.n_bits)
-        decoder = SensorArray(design, rail, self.tech)
+        # One decoding array per chain, built on the chain's first run.
+        decoder = self._decoders.get(tag)
+        if decoder is None:
+            decoder = self._decoders[tag] = SensorArray(design, rail,
+                                                        self.tech)
         p_out = self._ports[tag].p_out
         results = []
         for t_prep, t_sense in zip(sched.prepare_times,

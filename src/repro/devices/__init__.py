@@ -9,18 +9,19 @@ replacement: a Sakurai–Newton alpha-power-law MOSFET timing model
 (:mod:`repro.devices.variation`).
 """
 
-from repro.devices.technology import Technology, TECH_90NM
-from repro.devices.mosfet import AlphaPowerModel
-from repro.devices.corners import ProcessCorner, CORNERS, corner_by_name
-from repro.devices.variation import VariationModel, VariationSample
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Technology",
-    "TECH_90NM",
-    "AlphaPowerModel",
-    "ProcessCorner",
-    "CORNERS",
-    "corner_by_name",
-    "VariationModel",
-    "VariationSample",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "Technology": ".technology",
+    "TECH_90NM": ".technology",
+    "AlphaPowerModel": ".mosfet",
+    "ProcessCorner": ".corners",
+    "CORNERS": ".corners",
+    "corner_by_name": ".corners",
+    "VariationModel": ".variation",
+    "VariationSample": ".variation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -69,62 +69,7 @@ contract:
   pure-NumPy fallback that is always available.
 """
 
-from repro.kernels.backend import (
-    KERNEL_BACKEND_ENV,
-    active_backend,
-    backend_token,
-    numba_version,
-    requested_backend,
-)
-from repro.kernels.delay_law import (
-    delay_grid,
-    solve_supply_for_delay,
-    solve_voltage_factor,
-    voltage_factor_grid,
-)
-from repro.kernels.dtype import (
-    FLOAT32_THRESHOLD_BOUND_V,
-    KERNEL_DTYPE_ENV,
-    dtype_token,
-    resolve_dtype,
-)
-from repro.kernels.fused import (
-    decode_counts,
-    decode_word_rows,
-    fused_decode,
-    s_curve_trip_probability_fused,
-    score_lot_grids,
-    trip_counts_from_thresholds,
-)
-from repro.kernels.montecarlo import (
-    MC_SEED_SCHEME,
-    effective_supply_grid,
-    s_curve_trip_probability,
-    spawn_bit_seeds,
-    trip_grid,
-    trip_margin_grid,
-    word_grid_mc,
-    word_histogram_grid,
-)
-from repro.kernels.thermometer import (
-    bracket_grid,
-    bubble_grid,
-    decode_bounds,
-    midpoint_grid,
-    ones_count_grid,
-    word_grid,
-)
-from repro.kernels.thresholds import (
-    lot_threshold_grid,
-    threshold_grid,
-    window_grid,
-)
-from repro.kernels.transient import (
-    TransientStepper,
-    discretize,
-    simulate_corner_lot,
-    step_rail,
-)
+from repro._lazy import lazy_exports
 
 #: Bump whenever kernel numerics or grid layouts change meaning:
 #: participates in :func:`repro.runtime.cache.design_fingerprint`, so
@@ -139,45 +84,51 @@ from repro.kernels.transient import (
 #: compiled-backend artifacts can never alias float64/NumPy ones.
 KERNEL_LAYOUT_VERSION = "kernels/v3"
 
-__all__ = [
-    "FLOAT32_THRESHOLD_BOUND_V",
-    "KERNEL_BACKEND_ENV",
-    "KERNEL_DTYPE_ENV",
-    "KERNEL_LAYOUT_VERSION",
-    "MC_SEED_SCHEME",
-    "active_backend",
-    "backend_token",
-    "decode_counts",
-    "decode_word_rows",
-    "dtype_token",
-    "fused_decode",
-    "numba_version",
-    "requested_backend",
-    "resolve_dtype",
-    "s_curve_trip_probability_fused",
-    "score_lot_grids",
-    "trip_counts_from_thresholds",
-    "TransientStepper",
-    "bracket_grid",
-    "bubble_grid",
-    "decode_bounds",
-    "delay_grid",
-    "discretize",
-    "effective_supply_grid",
-    "lot_threshold_grid",
-    "midpoint_grid",
-    "ones_count_grid",
-    "s_curve_trip_probability",
-    "simulate_corner_lot",
-    "solve_supply_for_delay",
-    "solve_voltage_factor",
-    "spawn_bit_seeds",
-    "step_rail",
-    "threshold_grid",
-    "trip_grid",
-    "trip_margin_grid",
-    "window_grid",
-    "word_grid",
-    "word_grid_mc",
-    "word_histogram_grid",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "FLOAT32_THRESHOLD_BOUND_V": ".dtype",
+    "KERNEL_BACKEND_ENV": ".backend",
+    "KERNEL_DTYPE_ENV": ".dtype",
+    "KERNEL_LAYOUT_VERSION": ".",
+    "MC_SEED_SCHEME": ".montecarlo",
+    "active_backend": ".backend",
+    "backend_token": ".backend",
+    "decode_counts": ".fused",
+    "decode_word_rows": ".fused",
+    "dtype_token": ".dtype",
+    "fused_decode": ".fused",
+    "numba_version": ".backend",
+    "requested_backend": ".backend",
+    "resolve_dtype": ".dtype",
+    "s_curve_trip_probability_fused": ".fused",
+    "score_lot_grids": ".fused",
+    "trip_counts_from_thresholds": ".fused",
+    "TransientStepper": ".transient",
+    "bracket_grid": ".thermometer",
+    "bubble_grid": ".thermometer",
+    "decode_bounds": ".thermometer",
+    "delay_grid": ".delay_law",
+    "discretize": ".transient",
+    "effective_supply_grid": ".montecarlo",
+    "lot_threshold_grid": ".thresholds",
+    "midpoint_grid": ".thermometer",
+    "ones_count_grid": ".thermometer",
+    "s_curve_trip_probability": ".montecarlo",
+    "simulate_corner_lot": ".transient",
+    "solve_supply_for_delay": ".delay_law",
+    "solve_voltage_factor": ".delay_law",
+    "spawn_bit_seeds": ".montecarlo",
+    "step_rail": ".transient",
+    "threshold_grid": ".thresholds",
+    "trip_grid": ".montecarlo",
+    "trip_margin_grid": ".montecarlo",
+    "window_grid": ".thresholds",
+    "word_grid": ".thermometer",
+    "word_grid_mc": ".montecarlo",
+    "word_histogram_grid": ".montecarlo",
+}
+
+__all__ = list(_EXPORTS)
+# ``voltage_factor_grid`` is importable from here but not starred.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {**_EXPORTS, "voltage_factor_grid": ".delay_law"})

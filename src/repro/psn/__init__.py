@@ -18,17 +18,18 @@ equivalent electrical environment:
   spatial IR-drop maps (the multi-point "PSN scan chain" experiments).
 """
 
-from repro.psn.pdn import PDNParameters, PDNModel
-from repro.psn.activity import ActivityProfile, ClockedActivityGenerator
-from repro.psn.noise import NoiseScenario, two_level_scenario
-from repro.psn.grid import IRDropGrid
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PDNParameters",
-    "PDNModel",
-    "ActivityProfile",
-    "ClockedActivityGenerator",
-    "NoiseScenario",
-    "two_level_scenario",
-    "IRDropGrid",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "PDNParameters": ".pdn",
+    "PDNModel": ".pdn",
+    "ActivityProfile": ".activity",
+    "ClockedActivityGenerator": ".activity",
+    "NoiseScenario": ".noise",
+    "two_level_scenario": ".noise",
+    "IRDropGrid": ".grid",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

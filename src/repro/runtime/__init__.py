@@ -40,69 +40,41 @@ diagram: it may import only the error types and the standard library,
 so any layer can use it without cycles.
 """
 
-from repro.runtime.cache import (
-    ResultCache,
-    default_cache_dir,
-    design_fingerprint,
-    resolve_cache,
-    stable_hash,
-    task_key,
-)
-from repro.runtime.chaos import ChaosMonkey, KillOnceTask, SleepyTask
-from repro.runtime.profiling import PROFILER, PhaseProfiler, PhaseStat, phase
-from repro.runtime.executor import (
-    cached_map,
-    env_workers,
-    map_tasks,
-    resolve_workers,
-)
-from repro.runtime.resilient import (
-    MapOutcome,
-    RetryPolicy,
-    RunStats,
-    TaskFailure,
-    resilient_cached_map,
-    resilient_map,
-)
-from repro.runtime.shm import (
-    SHM_ENV,
-    SharedArrayHandle,
-    SharedArrayPool,
-    SharedTask,
-    resolve_handle,
-    shm_counters,
-    shm_enabled,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosMonkey",
-    "KillOnceTask",
-    "MapOutcome",
-    "PROFILER",
-    "PhaseProfiler",
-    "PhaseStat",
-    "ResultCache",
-    "SHM_ENV",
-    "SharedArrayHandle",
-    "SharedArrayPool",
-    "SharedTask",
-    "phase",
-    "RetryPolicy",
-    "RunStats",
-    "SleepyTask",
-    "TaskFailure",
-    "cached_map",
-    "default_cache_dir",
-    "design_fingerprint",
-    "env_workers",
-    "map_tasks",
-    "resilient_cached_map",
-    "resilient_map",
-    "resolve_cache",
-    "resolve_handle",
-    "resolve_workers",
-    "shm_counters",
-    "shm_enabled",
-    "stable_hash",
-    "task_key",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "ChaosMonkey": ".chaos",
+    "KillOnceTask": ".chaos",
+    "MapOutcome": ".resilient",
+    "PROFILER": ".profiling",
+    "PhaseProfiler": ".profiling",
+    "PhaseStat": ".profiling",
+    "ResultCache": ".cache",
+    "SHM_ENV": ".shm",
+    "SharedArrayHandle": ".shm",
+    "SharedArrayPool": ".shm",
+    "SharedTask": ".shm",
+    "phase": ".profiling",
+    "RetryPolicy": ".resilient",
+    "RunStats": ".resilient",
+    "SleepyTask": ".chaos",
+    "TaskFailure": ".resilient",
+    "cached_map": ".executor",
+    "default_cache_dir": ".cache",
+    "design_fingerprint": ".cache",
+    "env_workers": ".executor",
+    "map_tasks": ".executor",
+    "resilient_cached_map": ".resilient",
+    "resilient_map": ".resilient",
+    "resolve_cache": ".cache",
+    "resolve_handle": ".shm",
+    "resolve_workers": ".executor",
+    "shm_counters": ".shm",
+    "shm_enabled": ".shm",
+    "stable_hash": ".cache",
+    "task_key": ".cache",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

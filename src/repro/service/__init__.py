@@ -10,47 +10,34 @@ through the result cache and reduced-resolution decodes.  See
 :mod:`repro.service.server` for the full dataflow.
 """
 
-from repro.service.admission import AdmissionQueue, TokenBucket
-from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.chaos import LoadReport, build_load, run_load
-from repro.service.client import AsyncServiceClient, ServiceClient, \
-    parse_address
-from repro.service.fleet import Fleet, FleetConfig, die_sample, \
-    execute_job
-from repro.service.protocol import (
-    QUALITIES,
-    REQUEST_KINDS,
-    SERVICE_PROTOCOL,
-    Request,
-    encode_request,
-    make_response,
-    parse_request,
-    parse_response,
-)
-from repro.service.server import JobServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "AsyncServiceClient",
-    "BreakerState",
-    "CircuitBreaker",
-    "Fleet",
-    "FleetConfig",
-    "JobServer",
-    "LoadReport",
-    "QUALITIES",
-    "REQUEST_KINDS",
-    "Request",
-    "SERVICE_PROTOCOL",
-    "ServiceClient",
-    "TokenBucket",
-    "build_load",
-    "die_sample",
-    "encode_request",
-    "execute_job",
-    "make_response",
-    "parse_address",
-    "parse_request",
-    "parse_response",
-    "run_load",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "AdmissionQueue": ".admission",
+    "AsyncServiceClient": ".client",
+    "BreakerState": ".breaker",
+    "CircuitBreaker": ".breaker",
+    "Fleet": ".fleet",
+    "FleetConfig": ".fleet",
+    "JobServer": ".server",
+    "LoadReport": ".chaos",
+    "QUALITIES": ".protocol",
+    "REQUEST_KINDS": ".protocol",
+    "Request": ".protocol",
+    "SERVICE_PROTOCOL": ".protocol",
+    "ServiceClient": ".client",
+    "TokenBucket": ".admission",
+    "build_load": ".chaos",
+    "die_sample": ".fleet",
+    "encode_request": ".protocol",
+    "execute_job": ".fleet",
+    "make_response": ".protocol",
+    "parse_address": ".client",
+    "parse_request": ".protocol",
+    "parse_response": ".protocol",
+    "run_load": ".chaos",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,36 +19,28 @@ Modules:
 * :mod:`repro.sim.stimulus` — clock/pulse stimulus helpers.
 """
 
-from repro.sim.waveform import (
-    Waveform,
-    ConstantWaveform,
-    PiecewiseLinearWaveform,
-    SumWaveform,
-    DampedSineWaveform,
-    StepWaveform,
-)
-from repro.sim.events import Event, EventQueue
-from repro.sim.netlist import Net, SupplyNet, Instance, Netlist
-from repro.sim.engine import SimulationEngine
-from repro.sim.trace import Trace
-from repro.sim.stimulus import clock_edges, schedule_clock, schedule_pulse
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Waveform",
-    "ConstantWaveform",
-    "PiecewiseLinearWaveform",
-    "SumWaveform",
-    "DampedSineWaveform",
-    "StepWaveform",
-    "Event",
-    "EventQueue",
-    "Net",
-    "SupplyNet",
-    "Instance",
-    "Netlist",
-    "SimulationEngine",
-    "Trace",
-    "clock_edges",
-    "schedule_clock",
-    "schedule_pulse",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "Waveform": ".waveform",
+    "ConstantWaveform": ".waveform",
+    "PiecewiseLinearWaveform": ".waveform",
+    "SumWaveform": ".waveform",
+    "DampedSineWaveform": ".waveform",
+    "StepWaveform": ".waveform",
+    "Event": ".events",
+    "EventQueue": ".events",
+    "Net": ".netlist",
+    "SupplyNet": ".netlist",
+    "Instance": ".netlist",
+    "Netlist": ".netlist",
+    "SimulationEngine": ".engine",
+    "Trace": ".trace",
+    "clock_edges": ".stimulus",
+    "schedule_clock": ".stimulus",
+    "schedule_pulse": ".stimulus",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

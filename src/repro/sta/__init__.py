@@ -10,23 +10,19 @@ reproduce the paper's "critical path of the whole control system at
 90nm is 1.22ns" claim.
 """
 
-from repro.sta.graph import TimingGraph, TimingEdge
-from repro.sta.delay_calc import DelayCalculator
-from repro.sta.analysis import (
-    TimingReport,
-    PathSegment,
-    analyze,
-    critical_path,
-    min_clock_period,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimingGraph",
-    "TimingEdge",
-    "DelayCalculator",
-    "TimingReport",
-    "PathSegment",
-    "analyze",
-    "critical_path",
-    "min_clock_period",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "TimingGraph": ".graph",
+    "TimingEdge": ".graph",
+    "DelayCalculator": ".delay_calc",
+    "TimingReport": ".analysis",
+    "PathSegment": ".analysis",
+    "analyze": ".analysis",
+    "critical_path": ".analysis",
+    "min_clock_period": ".analysis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

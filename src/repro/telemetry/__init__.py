@@ -28,43 +28,29 @@ The CLI front end is ``repro telemetry``; the tracked perf trajectory
 is ``BENCH_telemetry.json`` from ``benchmarks/bench_telemetry.py``.
 """
 
-from repro.telemetry.aggregate import (
-    EwmaBaseline,
-    P2Quantile,
-    RungHistogram,
-    RunningStats,
-)
-from repro.telemetry.events import DroopDetector, DroopEvent
-from repro.telemetry.pipeline import TelemetryPipeline, batch_decode
-from repro.telemetry.ring import OverflowPolicy, RingBuffer
-from repro.telemetry.sources import (
-    SampleBlock,
-    array_source,
-    backend_source,
-    grid_transient_source,
-    monitor_source,
-    scan_chain_source,
-    synthetic_droop_trace,
-    waveform_source,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DroopDetector",
-    "DroopEvent",
-    "EwmaBaseline",
-    "OverflowPolicy",
-    "P2Quantile",
-    "RingBuffer",
-    "RungHistogram",
-    "RunningStats",
-    "SampleBlock",
-    "TelemetryPipeline",
-    "array_source",
-    "backend_source",
-    "batch_decode",
-    "grid_transient_source",
-    "monitor_source",
-    "scan_chain_source",
-    "synthetic_droop_trace",
-    "waveform_source",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "DroopDetector": ".events",
+    "DroopEvent": ".events",
+    "EwmaBaseline": ".aggregate",
+    "OverflowPolicy": ".ring",
+    "P2Quantile": ".aggregate",
+    "RingBuffer": ".ring",
+    "RungHistogram": ".aggregate",
+    "RunningStats": ".aggregate",
+    "SampleBlock": ".sources",
+    "TelemetryPipeline": ".pipeline",
+    "array_source": ".sources",
+    "backend_source": ".sources",
+    "batch_decode": ".pipeline",
+    "grid_transient_source": ".sources",
+    "monitor_source": ".sources",
+    "scan_chain_source": ".sources",
+    "synthetic_droop_trace": ".sources",
+    "waveform_source": ".sources",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,7 +5,8 @@ when it is constructed, and each event-driven harness builds its
 ``PulseGenerator`` when it is constructed.  After that, measuring
 builds no cell, and every result equals the result of a freshly
 constructed owner.  ``coverage_study`` re-arms one fault injector, so
-it builds one array harness per call.
+it builds one array harness per call, and a ``SensorSystem`` builds one
+decoding array per chain, however often it runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.core.array import SensorArray, SensorArrayHarness
 from repro.core.faults import FaultInjector, FaultType, coverage_study
 from repro.core.pulsegen import PulseGenerator
 from repro.core.sensor import SenseRail, SensorBitHarness
+from repro.core.system import SensorSystem
 from repro.devices.corners import CORNERS
 from repro.kernels import ladders
 from repro.units import NS
@@ -172,3 +174,27 @@ def test_rearmed_injector_screens_like_fresh_ones(design):
                 kwargs = {"code": 3, "vdd_n": level,
                           "reference_level": level}
                 assert rearmed.screen(**kwargs) == fresh.screen(**kwargs)
+
+
+def test_system_runs_build_one_decoder_per_chain(design, builds,
+                                                 monkeypatch):
+    decoders = []
+    init = SensorArray.__init__
+
+    def counted(self, *args, **kwargs):
+        decoders.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SensorArray, "__init__", counted)
+    # Decoding reads the process-wide ladder store, whose first solve
+    # builds cells of its own: warm it first.
+    ladders.ladder(design, 3, design.tech)
+    system = SensorSystem(design)
+    levels = [(0.93, 0.04), (0.97, 0.0)]
+    got = [system.run(2, vdd_n=v, gnd_n=g) for v, g in levels]
+    assert sorted(d.rail.value for d in decoders) == sorted(
+        rail.value for rail in SenseRail)
+    # Once each chain has its decoder, a run builds no cell at all.
+    _assert_none_built(builds, [lambda: system.run(2, vdd_n=0.95)])
+    for (v, g), result in zip(levels, got):
+        assert result == SensorSystem(design).run(2, vdd_n=v, gnd_n=g)

@@ -16,8 +16,16 @@ gets:
 * ``scipy.sparse`` (``splu``) at an ``IRDropGrid``'s first solve;
 * ``scipy.optimize`` (``curve_fit``) at the first ``SCurve.fit``.
 
-``networkx`` is not a dependency at all.  Each case runs in a fresh
-interpreter so the test session's own imports cannot hide a regression.
+``networkx`` is not a dependency at all.
+
+Package exports are lazy (:mod:`repro._lazy`) and a module header
+imports only what every call needs, so each entry point below loads at
+most its ceiling of ``repro`` modules: a campaign resume needs no
+sensor, simulator or kernel module, and the result cache needs no
+NumPy.
+
+Each case runs in a fresh interpreter so the test session's own
+imports cannot hide a regression.
 """
 
 from __future__ import annotations
@@ -102,6 +110,18 @@ values = [fit.threshold, fit.noise_sigma, fit.rms_residual]
 """
 
 
+#: ``repro`` modules (the package itself included) each entry may
+#: load, measured when the package exports became lazy.
+CEILINGS = {
+    "repro": 2,
+    "repro.campaign.runner": 15,
+    "repro.runtime.cache": 6,
+    "repro.analysis.yield_study": 26,
+    "repro.cli": 4,
+    "repro.service.server": 47,
+}
+
+
 def run_python(code: str):
     """Run ``code`` in a fresh interpreter; return the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -152,3 +172,30 @@ def test_filter_sites_import_scipy_signal_on_first_call(site):
 ], ids=["transient_stepper_init", "grid_solve", "s_curve_fit"])
 def test_solver_sites_import_scipy_on_first_call(module, site):
     assert_loaded_on_first_call(module, site)
+
+
+def loaded_by(entry: str) -> list[str]:
+    """Every module a fresh interpreter holds after ``import entry``."""
+    return run_python(f"import json, sys\nimport {entry}\n"
+                      "print(json.dumps(sorted(sys.modules)))\n")
+
+
+def in_package(modules: list[str], *packages: str) -> list[str]:
+    return [m for m in modules
+            if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+@pytest.mark.parametrize("entry", list(CEILINGS))
+def test_entry_loads_at_most_its_ceiling(entry):
+    loaded = in_package(loaded_by(entry), "repro")
+    assert len(loaded) <= CEILINGS[entry], loaded
+
+
+def test_campaign_runner_loads_no_engine_layer():
+    loaded = loaded_by("repro.campaign.runner")
+    assert in_package(loaded, "repro.core", "repro.sim",
+                      "repro.kernels") == []
+
+
+def test_result_cache_loads_no_numpy():
+    assert in_package(loaded_by("repro.runtime.cache"), "numpy") == []
