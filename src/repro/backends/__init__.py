@@ -71,11 +71,24 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 #: Environment variable naming the default driver spec.
 BACKEND_ENV = "REPRO_BACKEND"
 
+
+def _kernel_backend() -> SensorBackend:
+    from repro.backends.kernel import KernelBackend
+
+    return KernelBackend()
+
+
+def _sim_backend() -> SensorBackend:
+    from repro.backends.sim import SimBackend
+
+    return SimBackend()
+
+
 #: Spec name -> zero-argument driver factory (the stock drivers'
 #: modules load on their first construction).
 _REGISTRY: dict[str, Callable[[], SensorBackend]] = {
-    "kernel": lambda: __getattr__("KernelBackend")(),
-    "sim": lambda: __getattr__("SimBackend")(),
+    "kernel": _kernel_backend,
+    "sim": _sim_backend,
 }
 
 

@@ -3,11 +3,11 @@
 Every production flow (``repro yield``, ``repro serve``, campaigns) is
 a short process that pays the package's import time before it does any
 work.  Module headers therefore import no scipy at all, and set-up
-(imports plus ``paper_design()``) loads none of it: calibration solves
-with the in-tree :mod:`repro.devices.brent`.  Each scipy piece is
-imported at the call that uses it, and each first-call case below
-checks that the call loads it and returns the numbers this process
-gets:
+(importing every ``repro`` module, plus ``paper_design()``) loads none
+of it: calibration solves with the in-tree :mod:`repro.devices.brent`.
+Each scipy piece is imported at the call that uses it, and each
+first-call case below checks that the call loads it and returns the
+numbers this process gets:
 
 * ``scipy.signal`` (which loads ``scipy.stats``) at the two filtering
   sites, ``band_limited_noise`` and ``TransientStepper.step``;
@@ -42,14 +42,18 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.linalg",
          "scipy.sparse", "scipy.special", "networkx")
 
+#: Imports every ``repro`` module (``__main__`` would run the CLI), so
+#: each module header is checked, not only those an entry point loads.
 SET_UP = """
+import importlib
+import pkgutil
+
 import repro
-import repro.analysis.yield_study
-import repro.campaign
-import repro.cli
-import repro.core.characterization
-import repro.runtime
-import repro.service
+
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not info.name.endswith(".__main__"):
+        importlib.import_module(info.name)
+
 from repro.core.calibration import paper_design
 
 paper_design()
