@@ -62,11 +62,9 @@ counters see every stage.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, \
-    ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.campaign import stages as stage_kinds
 from repro.campaign.criteria import evaluate_checks
@@ -76,12 +74,24 @@ from repro.errors import CampaignError, StageExecutionError
 from repro.runtime.cache import ResultCache, task_key
 from repro.runtime.profiling import PROFILER, phase
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
 #: Stage processes when the spec and the CLI leave
 #: ``runtime.stage_workers`` at 0.  Fixed rather than sized to the
 #: host, so a spec starts the same processes everywhere: a CPU-bound
 #: campaign gains at most ``min(this, CPUs)``, a dwell-bound one (a
 #: stage waiting on a subprocess or an instrument) up to this many.
 DEFAULT_STAGE_WORKERS = 4
+
+
+def _start_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The stage pool.  ``concurrent.futures.process`` (and with it
+    ``multiprocessing``) is imported here, at the first stage-cache
+    miss, so a fully resumed run never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def resolve_stage_workers(spec: CampaignSpec,
@@ -340,9 +350,8 @@ def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
                             settle(sid, hit)
                         else:
                             if pool is None:
-                                pool = ProcessPoolExecutor(
-                                    max_workers=_pool_size(
-                                        order, stages, workers))
+                                pool = _start_pool(_pool_size(
+                                    order, stages, workers))
                             fut = pool.submit(_stage_process, child_ctx,
                                               stage, PROFILER.enabled)
                             in_flight[fut] = sid
@@ -355,6 +364,9 @@ def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
                         f"{waiting}"
                     )
                 continue
+            # Loaded with the pool, which any stage in flight started.
+            from concurrent.futures.process import BrokenProcessPool
+
             done, _ = wait(list(in_flight),
                            return_when=FIRST_COMPLETED)
             with phase("campaign.schedule"):

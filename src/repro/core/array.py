@@ -26,6 +26,7 @@ from repro.core.sensor import (
     SenseRail,
     SensorBit,
     bind_noisy_rails,
+    sample_bit,
 )
 from repro.devices.technology import Technology
 from repro.devices.variation import VariationSample
@@ -69,9 +70,15 @@ class SensorArray:
             SensorBit(design, b, rail)
             for b in range(1, design.n_bits + 1)
         )
-        # Every bit of every measure shares one inverter and one FF.
+        # Every bit of every measure shares one inverter and one FF, so
+        # a bit's DS delay is its fixed load's coefficient times the
+        # one g(V) of the rail.
         self._inv = design.sensor_inverter(tech)
         self._ff = design.sense_flipflop(tech)
+        d_pin = self._ff.pin("D").cap
+        self._coefs = tuple(self._inv.model.delay_coefficient(cap + d_pin)
+                            for cap in design.load_caps)
+        self._windows: dict[int, float] = {}
 
     @property
     def n_bits(self) -> int:
@@ -108,14 +115,19 @@ class SensorArray:
                 gnd_n: float | None = None) -> ArrayMeasure:
         """Analytic measurement at a static rail level.
 
-        Every bit shares one sensing window and the array's inverter
-        and flip-flop, which were built with the array.
+        Every bit sees the same rail, so one ``g(V)`` times each bit's
+        delay coefficient gives every DS delay.  The bits share one
+        sensing window per code and the array's flip-flop.
         """
-        window = self.design.effective_window(code, self.tech)
-        inv, ff = self._inv, self._ff
+        window = self._windows.get(code)
+        if window is None:
+            window = self._windows[code] = self.design.effective_window(
+                code, self.tech)
+        supply = self.bits[0].effective_supply(vdd_n=vdd_n, gnd_n=gnd_n)
+        ff, pass_value = self._ff, self.rail.pass_value
         measures = tuple(
-            b._measure_with(window, inv, ff, vdd_n=vdd_n, gnd_n=gnd_n)
-            for b in self.bits
+            sample_bit(window, ff, d, pass_value)
+            for d in self._inv.model.delays(supply, self._coefs)
         )
         word = ThermometerWord.from_samples(
             tuple(1 if m.passed else 0 for m in measures)

@@ -166,39 +166,41 @@ class SensorBit:
         window; the captured value still flips exactly at margin zero,
         matching the event-driven path.
         """
-        return self._measure_with(
-            self.design.effective_window(code, tech),
-            self.design.sensor_inverter(tech),
-            self.design.sense_flipflop(tech),
-            vdd_n=vdd_n, gnd_n=gnd_n,
-        )
-
-    def _measure_with(self, window: float, inv: Inverter, ff: DFlipFlop,
-                      *, vdd_n: float | None,
-                      gnd_n: float | None) -> BitMeasure:
-        """:meth:`measure` against a prebuilt window, inverter and FF —
-        the cells a whole array shares (:meth:`SensorArray.measure`)."""
+        window = self.design.effective_window(code, tech)
+        inv = self.design.sensor_inverter(tech)
+        ff = self.design.sense_flipflop(tech)
         d = self._delay_with(inv, ff, vdd_n=vdd_n, gnd_n=gnd_n)
-        margin = window - d
-        passed = margin > 0.0
-        if abs(margin) < ff.window:
-            outcome = ("metastable_capture" if passed
-                       else "metastable_miss")
-            out_delay = ff.clk_to_q + ff.tau * _safe_log(
-                ff.window, abs(margin)
-            )
-        else:
-            outcome = "clean_capture" if passed else "clean_miss"
-            out_delay = ff.clk_to_q
-        value = self.rail.pass_value if passed else 1 - self.rail.pass_value
-        return BitMeasure(
-            passed=passed,
-            value=value,
-            outcome=outcome,
-            ds_delay=d,
-            out_delay=out_delay,
-            setup_margin=margin,
+        return sample_bit(window, ff, d, self.rail.pass_value)
+
+
+def sample_bit(window: float, ff: DFlipFlop, d: float,
+               pass_value: int) -> BitMeasure:
+    """The analytic sample of a DS edge ``d`` seconds after SENSE by
+    ``ff`` at the end of ``window``: the bit passes when the edge makes
+    setup, and is metastable when it lands inside the FF window.
+
+    :meth:`SensorBit.measure` and :meth:`SensorArray.measure` share it.
+    """
+    margin = window - d
+    passed = margin > 0.0
+    if abs(margin) < ff.window:
+        outcome = ("metastable_capture" if passed
+                   else "metastable_miss")
+        out_delay = ff.clk_to_q + ff.tau * _safe_log(
+            ff.window, abs(margin)
         )
+    else:
+        outcome = "clean_capture" if passed else "clean_miss"
+        out_delay = ff.clk_to_q
+    value = pass_value if passed else 1 - pass_value
+    return BitMeasure(
+        passed=passed,
+        value=value,
+        outcome=outcome,
+        ds_delay=d,
+        out_delay=out_delay,
+        setup_margin=margin,
+    )
 
 
 def bind_noisy_rails(netlist: Netlist,

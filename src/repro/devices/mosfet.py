@@ -149,14 +149,47 @@ class AlphaPowerModel:
             Delay in seconds; ``math.inf`` when the supply is at or
             below threshold (the gate cannot switch).
         """
-        if load_cap < 0:
-            raise ConfigurationError("load_cap must be non-negative")
+        coef = self.delay_coefficient(load_cap)
         g = voltage_factor(supply_v, self.tech.vth, self.tech.alpha)
         if g == math.inf:
             return math.inf
-        c_total = self.intrinsic_cap + load_cap
-        base = (self.tech.drive_constant / self.strength) * c_total * g
-        return base + self.tech.slew_fraction * input_slew
+        return coef * g + self.tech.slew_fraction * input_slew
+
+    def delay_coefficient(self, load_cap: float) -> float:
+        """The load's factor of :meth:`delay`, seconds per unit ``g``:
+        ``(drive_constant / strength) * (intrinsic_cap + load_cap)``.
+
+        A delay is this coefficient times ``g(V)``, plus the slew term,
+        so a gate whose load is fixed can build it once.
+
+        Raises:
+            ConfigurationError: if ``load_cap`` is negative.
+        """
+        if load_cap < 0:
+            raise ConfigurationError("load_cap must be non-negative")
+        return ((self.tech.drive_constant / self.strength)
+                * (self.intrinsic_cap + load_cap))
+
+    def delays(self, supply_v: float, coefficients: tuple[float, ...], *,
+               input_slew: float = 0.0) -> tuple[float, ...]:
+        """:meth:`delay` for several loads on one supply, from one
+        ``g(V)``.
+
+        Args:
+            supply_v: Supply voltage every load's gate switches at.
+            coefficients: One :meth:`delay_coefficient` per load.
+            input_slew: Input transition time, as for :meth:`delay`.
+
+        Returns:
+            One delay per coefficient, each with the bits :meth:`delay`
+            returns for that load; all ``math.inf`` at or below
+            threshold.
+        """
+        g = voltage_factor(supply_v, self.tech.vth, self.tech.alpha)
+        if g == math.inf:
+            return (math.inf,) * len(coefficients)
+        slew = self.tech.slew_fraction * input_slew
+        return tuple(coef * g + slew for coef in coefficients)
 
     def output_slew(self, supply_v: float, load_cap: float) -> float:
         """Output transition time, modelled as twice the step delay.

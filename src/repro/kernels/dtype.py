@@ -45,9 +45,12 @@ KERNEL_DTYPE_ENV = "REPRO_KERNEL_DTYPE"
 #: physical noise floor in the paper (mV-scale rail noise).
 FLOAT32_THRESHOLD_BOUND_V = 1e-4
 
+#: The two kernel dtypes by name.  :func:`resolve_dtype` returns these
+#: instances for the environment default, so a hot caller neither
+#: builds a dtype nor reads its ``name``.
 _DTYPES = {
-    "float32": np.float32,
-    "float64": np.float64,
+    "float32": np.dtype(np.float32),
+    "float64": np.dtype(np.float64),
 }
 
 
@@ -61,13 +64,13 @@ def resolve_dtype(dtype: "np.dtype | type | str | None" = None) -> np.dtype:
     if dtype is None:
         raw = os.environ.get(KERNEL_DTYPE_ENV, "").strip()
         if not raw:
-            return np.dtype(np.float64)
+            return _DTYPES["float64"]
         if raw not in _DTYPES:
             raise ConfigurationError(
                 f"${KERNEL_DTYPE_ENV}={raw!r} is not a kernel dtype "
                 f"(use 'float32' or 'float64')"
             )
-        return np.dtype(_DTYPES[raw])
+        return _DTYPES[raw]
     try:
         dt = np.dtype(dtype)
     except TypeError:

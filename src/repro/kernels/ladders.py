@@ -18,11 +18,13 @@ kinds of entry in one bounded, least-recently-used table:
   :meth:`~repro.core.calibration.SensorDesign.bit_threshold`, keyed by
   ``(design, bit, code, tech, window_tech)``.
 
-Every key is made of frozen values and ``dtype`` is the kernel dtype
-the store resolves from ``$REPRO_KERNEL_DTYPE`` at each call, so a float32 ``$REPRO_KERNEL_DTYPE`` call never reads
-float64 rungs.  Entries are the solver's own floats, returned as
-tuples, Python floats or read-only arrays: no caller can change a
-stored rung, and every output stays bit-identical to a fresh solve.
+Every key is made of frozen values.  ``dtype`` is the kernel dtype,
+which the store resolves from ``$REPRO_KERNEL_DTYPE`` at every call:
+a call made while the variable says float32 never reads rungs solved
+in float64, and the other way round.  Entries are the solver's own
+floats, returned as tuples, Python floats or read-only arrays: no
+caller can change a stored rung, and every output stays bit-identical
+to a fresh solve.
 A failed solve (a bad code or bit) stores nothing.
 
 The solvers themselves stay plain: ``threshold_grid``,
@@ -117,7 +119,7 @@ def ladder(design: "SensorDesign", code: int,
     makes equal to solving those bits alone.
     """
     dt = resolve_dtype()
-    key = ("ladder", design, code, tech, dt.name)
+    key = ("ladder", design, code, tech, dt)
     rungs = _get(key)
     if rungs is _MISSING:
         grid = threshold_grid(design, (code,), tech, dtype=dt)
@@ -137,7 +139,7 @@ def die_ladders(design: "SensorDesign",
     holds ``bits`` floats and never keeps the batch array alive.
     """
     dt = resolve_dtype()
-    keys = [("die", design, sample, code, dt.name) for sample in lot]
+    keys = [("die", design, sample, code, dt) for sample in lot]
     rows = [_get(key) for key in keys]
     missing = [i for i, row in enumerate(rows) if row is _MISSING]
     if missing:

@@ -120,20 +120,27 @@ class ClockedActivityGenerator:
         n_cycles = int(np.floor(t_end / self.clock_period)) + 1
         rng = (np.random.default_rng(self.seed)
                if self.profile is ActivityProfile.RANDOM else None)
+        peaks = np.array([self.activity_for_cycle(c, rng) * self.peak_current
+                          for c in range(n_cycles)], dtype=float)
         half = pulse_width / 2.0
-        for cycle in range(n_cycles):
-            act = self.activity_for_cycle(cycle, rng)
-            peak = act * self.peak_current
-            if peak == 0.0:
-                continue
+        # A sample lies in the pulse of its own cycle, floor(t / T), or,
+        # at a rounded or shared boundary, of a neighbour.  The
+        # neighbours are added in cycle order, as one pass per cycle
+        # would add them.
+        own = np.floor(times / self.clock_period).astype(np.int64)
+        for near in (own - 1, own, own + 1):
+            valid = (near >= 0) & (near < n_cycles)
+            cycle = np.where(valid, near, 0)
+            peak = peaks[cycle]
             t0 = cycle * self.clock_period
             # Triangular pulse rising to `peak` at t0+half, back to 0 at
             # t0+pulse_width.
-            in_pulse = (times >= t0) & (times <= t0 + pulse_width)
-            rel = times[in_pulse] - t0
+            in_pulse = (valid & (peak != 0.0) & (times >= t0)
+                        & (times <= t0 + pulse_width))
+            rel = times[in_pulse] - t0[in_pulse]
             tri = np.where(rel <= half, rel / half,
                            (pulse_width - rel) / half)
-            current[in_pulse] += peak * np.clip(tri, 0.0, 1.0)
+            current[in_pulse] += peak[in_pulse] * np.clip(tri, 0.0, 1.0)
         return current
 
     def average_current(self) -> float:

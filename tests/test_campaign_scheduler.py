@@ -225,7 +225,7 @@ def test_resumed_run_starts_no_stage_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a resumed run started a stage pool")
 
-    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(scheduler, "_start_pool", no_pool)
     again = run_campaign(spec, out_dir=tmp_path / "out",
                          execution="parallel")
     assert again.ok
@@ -242,15 +242,15 @@ def _record_pool_sizes(monkeypatch, *, stop):
     import repro.campaign.scheduler as scheduler
 
     sizes = []
+    real = scheduler._start_pool
 
-    class RecordingPool(scheduler.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            if stop:
-                raise _PoolStarted
-            super().__init__(max_workers=max_workers, **kwargs)
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        if stop:
+            raise _PoolStarted
+        return real(max_workers)
 
-    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scheduler, "_start_pool", recording_pool)
     return sizes
 
 

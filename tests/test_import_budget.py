@@ -201,5 +201,14 @@ def test_campaign_runner_loads_no_engine_layer():
                       "repro.kernels") == []
 
 
+def test_campaign_runner_loads_no_process_pool():
+    """The stage pool's modules load when a stage first misses the
+    stage cache, so a resume that starts no process never pays for
+    them."""
+    loaded = loaded_by("repro.campaign.runner")
+    assert in_package(loaded, "concurrent.futures.process",
+                      "multiprocessing") == []
+
+
 def test_result_cache_loads_no_numpy():
     assert in_package(loaded_by("repro.runtime.cache"), "numpy") == []

@@ -205,6 +205,56 @@ def test_float32_env_never_reads_float64_rungs(design, lot, monkeypatch):
     assert ladders.ladder(design, 3) is wide
 
 
+@pytest.mark.parametrize("order", [
+    ("float64", "float32", "", "float32", "float64"),
+    ("float32", "float64", "float32", "", "float32"),
+])
+def test_switching_env_dtype_never_crosses_rungs(design, lot, monkeypatch,
+                                                 order):
+    """Each read returns the rungs of the dtype the environment names
+    at that call, however often it changes.  The die rows are read in
+    halves first, so a later whole-lot read mixes stored rows with
+    solved ones.  The fresh solves run under the same environment,
+    as the store's own do."""
+    fresh = {}
+    for name in ("float32", "float64"):
+        monkeypatch.setenv(KERNEL_DTYPE_ENV, name)
+        fresh[name] = (threshold_grid(design, (3,))[:, 0],
+                       lot_threshold_grid(design, lot, 3))
+    assert fresh["float32"][0].tolist() != fresh["float64"][0].tolist()
+    for i, raw in enumerate(order):
+        monkeypatch.setenv(KERNEL_DTYPE_ENV, raw)
+        name = raw or "float64"
+        rungs, rows = fresh[name]
+        half = lot[:6] if i % 2 else lot[6:]
+        assert np.array_equal(ladders.die_ladders(design, half, 3),
+                              rows[:6] if i % 2 else rows[6:])
+        assert ladders.ladder(design, 3) == tuple(float(v) for v in rungs)
+        table = ladders.die_ladders(design, lot, 3)
+        assert table.dtype == np.dtype(name)
+        assert table.tobytes() == rows.tobytes()
+    assert ladders.size() == 2 + 2 * len(lot)
+
+
+def test_dtype_tokens_are_literal(monkeypatch):
+    """The tokens folded into persisted cache keys never move."""
+    from repro.kernels.dtype import dtype_token, resolve_dtype
+
+    monkeypatch.delenv(KERNEL_DTYPE_ENV, raising=False)
+    assert dtype_token() == "dtype/float64"
+    for raw, token in (("", "dtype/float64"), ("float64", "dtype/float64"),
+                       ("float32", "dtype/float32")):
+        monkeypatch.setenv(KERNEL_DTYPE_ENV, raw)
+        assert dtype_token() == token
+        # The environment default is one shared instance per dtype.
+        assert resolve_dtype() is resolve_dtype()
+    for arg, token in ((np.float32, "dtype/float32"),
+                       (np.dtype(np.float64), "dtype/float64"),
+                       ("float32", "dtype/float32"),
+                       (float, "dtype/float64")):
+        assert dtype_token(arg) == token
+
+
 def test_racing_threads_share_one_entry(design, monkeypatch):
     real = ladders.threshold_grid
 
