@@ -17,6 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
+import importlib.metadata
+import importlib.util
 import json
 import os
 import platform
@@ -27,17 +29,27 @@ from typing import Any, Callable
 from benchmarks._report import REPORT_DIR
 
 
+def _numba_version() -> str:
+    """The importable numba's version string, or ``"none"``.
+
+    Probed through package metadata, without importing numba.
+    """
+    if importlib.util.find_spec("numba") is None:
+        return "none"
+    try:
+        return importlib.metadata.version("numba")
+    except importlib.metadata.PackageNotFoundError:
+        return "none"
+
+
 def machine_fingerprint() -> dict[str, Any]:
     """Enough host identity to judge whether two timings are comparable.
 
-    Folds the *numeric stack* in as well as the host: numbers produced
-    with the numba-compiled kernel backend are not comparable to
-    pure-NumPy ones, so the fingerprint records the numba version (or
-    ``"none"``) and which backend was actually active.
+    Folds the *numeric stack* in as well as the host: the NumPy
+    version, the kernel backend (always the NumPy kernels) and whether
+    numba is installed, so hosts whose stacks differ are never compared.
     """
     import numpy
-
-    from repro.kernels import active_backend, numba_version
 
     return {
         "platform": platform.platform(),
@@ -46,8 +58,8 @@ def machine_fingerprint() -> dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "numba": numba_version() or "none",
-        "kernel_backend": active_backend(),
+        "numba": _numba_version(),
+        "kernel_backend": "numpy",
     }
 
 

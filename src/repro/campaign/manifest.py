@@ -59,8 +59,7 @@ def provenance_info() -> dict[str, str]:
     from repro.backends.base import BACKEND_PROTOCOL
     from repro.backends.trace import TRACE_SCHEMA
     from repro.campaign.schema import CAMPAIGN_SCHEMA
-    from repro.kernels import KERNEL_LAYOUT_VERSION
-    from repro.kernels.backend import backend_token
+    from repro.kernels import KERNEL_BACKEND_TOKEN, KERNEL_LAYOUT_VERSION
     from repro.kernels.dtype import dtype_token
     from repro.kernels.montecarlo import MC_SEED_SCHEME
     from repro.runtime.cache import CACHE_SCHEMA
@@ -78,7 +77,7 @@ def provenance_info() -> dict[str, str]:
         "numpy": numpy.__version__,
         "numba": numba_version,
         "kernel_layout": KERNEL_LAYOUT_VERSION,
-        "kernel_backend": backend_token(),
+        "kernel_backend": KERNEL_BACKEND_TOKEN,
         "kernel_dtype": dtype_token(),
         "mc_seed_scheme": MC_SEED_SCHEME,
         "trace_schema": TRACE_SCHEMA,

@@ -62,11 +62,7 @@ contract:
 * **precision policy** (:mod:`repro.kernels.dtype`) — ``dtype=`` on
   kernel entry points and ``$REPRO_KERNEL_DTYPE``; float64 (default)
   keeps every bit-identity guarantee, float32 is opt-in with a
-  measured, documented threshold error bound;
-* **compiled backend** (:mod:`repro.kernels.backend`) — an optional
-  numba-compiled lane solver behind the same interface, mirrored
-  operation for operation so backends are bit-identical, with a
-  pure-NumPy fallback that is always available.
+  measured, documented threshold error bound.
 """
 
 from repro._lazy import lazy_exports
@@ -77,28 +73,29 @@ from repro._lazy import lazy_exports
 #: different kernel generation (or by the scalar-only era, which had no
 #: version token at all).  v2: stochastic/transient tier (Monte-Carlo
 #: draw cubes under ``MC_SEED_SCHEME``, exact-ZOH PDN stepping).
-#: v3: raw-speed tier (fused solve+decode kernels, dtype policy,
-#: optional compiled backend) — fingerprints additionally fold
+#: v3: raw-speed tier (fused solve+decode kernels, dtype policy) —
+#: fingerprints additionally fold
 #: :func:`~repro.kernels.dtype.dtype_token` and
-#: :func:`~repro.kernels.backend.backend_token`, so float32 and
-#: compiled-backend artifacts can never alias float64/NumPy ones.
+#: :data:`KERNEL_BACKEND_TOKEN`, so float32 artifacts can never alias
+#: float64 ones.
 KERNEL_LAYOUT_VERSION = "kernels/v3"
+
+#: The kernel backend's token in cache fingerprints and run manifests.
+#: The kernels have one (NumPy) implementation; the token stays so that
+#: every existing cache key and golden manifest keeps its bytes.
+KERNEL_BACKEND_TOKEN = "backend/numpy"
 
 #: Public name -> defining module, imported on first access.
 _EXPORTS = {
     "FLOAT32_THRESHOLD_BOUND_V": ".dtype",
-    "KERNEL_BACKEND_ENV": ".backend",
+    "KERNEL_BACKEND_TOKEN": ".",
     "KERNEL_DTYPE_ENV": ".dtype",
     "KERNEL_LAYOUT_VERSION": ".",
     "MC_SEED_SCHEME": ".montecarlo",
-    "active_backend": ".backend",
-    "backend_token": ".backend",
     "decode_counts": ".fused",
     "decode_word_rows": ".fused",
     "dtype_token": ".dtype",
     "fused_decode": ".fused",
-    "numba_version": ".backend",
-    "requested_backend": ".backend",
     "resolve_dtype": ".dtype",
     "s_curve_trip_probability_fused": ".fused",
     "score_lot_grids": ".fused",

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.devices.mosfet import voltage_factor_array
 from repro.errors import ConfigurationError
-from repro.kernels.backend import active_backend, compiled_solver
 from repro.kernels.dtype import resolve_dtype
 from repro.runtime.profiling import phase
 
@@ -76,9 +75,7 @@ def _iterate_numpy(lo: np.ndarray, hi: np.ndarray, vth_f: np.ndarray,
 
     Masked full-grid iteration: converged lanes are frozen, so lane
     results are independent of which other lanes are in the batch
-    (batch invariance).  The compiled backend
-    (:mod:`repro.kernels.backend`) mirrors this loop operation for
-    operation, one lane at a time.
+    (batch invariance).
     """
     x = 0.5 * (lo + hi)
     active = np.ones(x.shape, dtype=bool)
@@ -172,36 +169,25 @@ def solve_voltage_factor(g_target: np.ndarray,
         # Root exists iff g(lo) > G (slow enough near the pole; always
         # true for a finite target since g -> inf) and g(hi) < G (the
         # gate beats the target at full rail).
-        g_hi = voltage_factor_grid(hi, vth_f, alpha_f)
+        g_hi = voltage_factor_grid(hi, vth_f, alpha_f, dtype=dt)
         if np.any(g_hi >= g_t):
             raise ConfigurationError(
                 "gate is slower than the target even at the upper "
                 "bracket; no threshold exists in the interval"
             )
-        g_lo = voltage_factor_grid(lo, vth_f, alpha_f)
+        g_lo = voltage_factor_grid(lo, vth_f, alpha_f, dtype=dt)
         bad = g_lo <= g_t
         if np.any(bad):
             # Mirror the scalar nudge: step off the pole and re-check.
             lo = np.where(bad, vth_f + 1e-4, lo)
-            g_lo = voltage_factor_grid(lo, vth_f, alpha_f)
+            g_lo = voltage_factor_grid(lo, vth_f, alpha_f, dtype=dt)
             if np.any(g_lo < g_t):
                 raise ConfigurationError(
                     "gate is faster than the target even at the lower "
                     "bracket; no threshold exists in the interval"
                 )
 
-        log_g = np.log(g_t)
-        solver = compiled_solver() \
-            if active_backend() == "numba" else None
-        if solver is not None:
-            x = np.asarray(solver(lo, hi, vth_f, alpha_f, log_g,
-                                  _MAX_ITER))
-            if np.any(np.isnan(x)):  # pragma: no cover - defensive
-                raise ConfigurationError(
-                    "voltage-factor solve failed to converge"
-                )
-        else:
-            x = _iterate_numpy(lo, hi, vth_f, alpha_f, log_g)
+        x = _iterate_numpy(lo, hi, vth_f, alpha_f, np.log(g_t))
         return x.reshape(shape)
 
 

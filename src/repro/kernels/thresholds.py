@@ -156,7 +156,8 @@ def lot_threshold_grid(design: "SensorDesign",
     vth_d = tech.vth + die_vth
     k_d = tech.drive_constant * die_k
     g_design = voltage_factor(tech.vdd_nominal, tech.vth, tech.alpha)
-    g_die = voltage_factor_grid(tech.vdd_nominal, vth_d, tech.alpha)
+    g_die = voltage_factor_grid(tech.vdd_nominal, vth_d, tech.alpha,
+                                dtype=dtype)
     scale_d = (k_d / tech.drive_constant) * (g_die / g_design)
     windows = window_grid(design, (code,))  # nominal windows, len 1
     window_d = scale_d * windows[0]

@@ -6,16 +6,17 @@ yield studies are independent across sampled dies, and tester-style
 S-curve extraction is independent across stages.  This package supplies
 the two pieces every such sweep needs:
 
-* :mod:`repro.runtime.executor` — a process-pool fan-out
-  (:func:`map_tasks`) that preserves submission order, so a parallel
-  sweep reduces to *bit-identical* results vs. the serial loop;
+* :mod:`repro.runtime.executor` — the sweep entry points
+  :func:`map_tasks` and :func:`cached_map`, thin names over the
+  resilient engine below: a process-pool fan-out that preserves
+  submission order, so a parallel sweep reduces to *bit-identical*
+  results vs. the serial loop;
 * :mod:`repro.runtime.cache` — an on-disk memoization cache
   (:class:`ResultCache`) keyed by a stable content hash of the inputs
   (design, corner technology, delay code, bisection tolerances), with
-  hit/miss/error counters and graceful recovery from corrupt entries.
-
-* :mod:`repro.runtime.resilient` — the fault-tolerant execution
-  engine: bounded retries with deterministic backoff, per-task
+  hit/miss/error counters and graceful recovery from corrupt entries;
+* :mod:`repro.runtime.resilient` — the one map engine, fault
+  tolerant: bounded retries with deterministic backoff, per-task
   timeouts, worker-crash recovery (pool rebuild + resubmission of
   unfinished tasks), incremental result persistence and a
   ``raise``/``partial`` failure policy with structured

@@ -1,18 +1,24 @@
 """Process-pool fan-out with serial-identical semantics.
 
-:func:`map_tasks` is the single primitive every sweep builds on.  Its
-contract is deliberately stronger than "run these concurrently":
+:func:`map_tasks` and :func:`cached_map` are the two entry points every
+sweep builds on.  Both are thin names over the one fault-tolerant
+engine, :func:`~repro.runtime.resilient.resilient_map` and
+:func:`~repro.runtime.resilient.resilient_cached_map`; with the default
+``retries=0`` and ``failure_policy="raise"`` that engine is the plain
+fan-out.  Its contract is deliberately stronger than "run these
+concurrently":
 
-* **Order preservation** — results come back in submission order
-  (``ProcessPoolExecutor.map``), so a reducer that folds them in a
-  loop sees *exactly* the operand sequence of the serial code path,
-  and floating-point reductions stay bit-identical.
+* **Order preservation** — results come back in submission order, so a
+  reducer that folds them in a loop sees *exactly* the operand
+  sequence of the serial code path, and floating-point reductions stay
+  bit-identical.
 * **Determinism** — tasks must be pure functions of their argument
   tuple.  Anything seeded derives its seed from the task payload
   (die index, bit number), never from pool scheduling.
-* **Serial fallback** — ``workers=None``/``0``/``1`` runs the plain
-  list comprehension in-process: no pool, no pickling, no behavior
-  change for existing callers.
+* **Serial fallback** — ``workers=None``/``0``/``1`` runs the tasks
+  in-process: no pool, no pickling.  A task's own exception propagates
+  unchanged on either path; a worker process that dies raises
+  :class:`~repro.errors.WorkerCrashError`.
 
 Worker callables must be module-level (picklable).  The wired sweeps
 each define a tiny ``_*_task`` adapter next to the physics they call.
@@ -21,27 +27,17 @@ each define a tiny ``_*_task`` adapter next to the physics they call.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Sequence,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.runtime.cache import ResultCache, resolve_cache
-from repro.runtime.profiling import PROFILER
+from repro.runtime.resilient import resilient_cached_map, resilient_map
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
 
 #: Environment variable for sweeps without an explicit ``workers=``
 #: (benches, examples): unset/empty means serial.
 WORKERS_ENV = "REPRO_WORKERS"
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -75,55 +71,7 @@ def env_workers(default: int | None = None) -> int | None:
         ) from None
 
 
-def _iter_map(fn: Callable[..., _R], payloads: Sequence[_T],
-              workers: int | None,
-              shared: "Mapping[str, Any] | None" = None) -> Iterator[_R]:
-    """Yield ``fn(x)`` per payload *in submission order, as computed*.
-
-    The streaming core of :func:`map_tasks` and :func:`cached_map`:
-    consumers that persist each result as it arrives (incremental
-    ``store.put()``) survive a crash mid-sweep with all completed work
-    intact, while the yielded order stays bit-identical to serial.
-
-    With ``shared``, tasks are called as ``fn(payload, arrays)``: the
-    named arrays ride POSIX shared memory to the pool (one copy-in
-    total instead of one pickle per task — see
-    :mod:`repro.runtime.shm`) and read-only views in the serial path,
-    so the bytes each task sees are identical either way.
-    """
-    n = min(resolve_workers(workers), len(payloads))
-    if shared is not None:
-        from repro.runtime.shm import SharedArrayPool, SharedTask, \
-            _readonly_views
-
-        if n <= 1:
-            arrays = _readonly_views(shared)
-            for item in payloads:
-                yield fn(item, arrays)
-            return
-        with SharedArrayPool(shared) as shm_pool:
-            task = SharedTask(fn, shm_pool.handles)
-            shm_pool.charge_tasks(len(payloads))
-            with PROFILER.measure("runtime.pool"), \
-                    ProcessPoolExecutor(max_workers=n) as pool:
-                yield from pool.map(task, payloads)
-        return
-    if n <= 1:
-        for item in payloads:
-            yield fn(item)
-        return
-    with PROFILER.measure("runtime.pool"), \
-            ProcessPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(fn, payloads)
-
-
-def _wants_resilience(retries: int, task_timeout: float | None,
-                      failure_policy: str) -> bool:
-    return bool(retries) or task_timeout is not None \
-        or failure_policy != "raise"
-
-
-def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
+def map_tasks(fn: Callable[..., Any], items: Iterable[Any], *,
               workers: int | None = None,
               retries: int = 0,
               task_timeout: float | None = None,
@@ -162,21 +110,15 @@ def map_tasks(fn: Callable[..., _R], items: Iterable[_T], *,
         a :class:`~repro.runtime.resilient.MapOutcome` under
         ``"partial"``.
     """
-    payloads: Sequence[_T] = list(items)
-    if _wants_resilience(retries, task_timeout, failure_policy):
-        from repro.runtime.resilient import resilient_map
-
-        outcome = resilient_map(
-            fn, payloads, workers=workers, retries=retries,
-            task_timeout=task_timeout, failure_policy=failure_policy,
-            shared=shared,
-        )
-        return outcome if failure_policy == "partial" \
-            else outcome.results
-    return list(_iter_map(fn, payloads, workers, shared=shared))
+    outcome = resilient_map(
+        fn, items, workers=workers, retries=retries,
+        task_timeout=task_timeout, failure_policy=failure_policy,
+        shared=shared,
+    )
+    return outcome if failure_policy == "partial" else outcome.results
 
 
-def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
+def cached_map(fn: Callable[..., Any], items: Iterable[Any], *,
                keys: Sequence[str] | None = None,
                cache: "ResultCache | str | os.PathLike[str] | None" = None,
                workers: int | None = None,
@@ -213,35 +155,9 @@ def cached_map(fn: Callable[..., _R], items: Iterable[_T], *,
             ``fn(payload, arrays)``); cache keys must already account
             for the shared contents.
     """
-    if _wants_resilience(retries, task_timeout, failure_policy):
-        from repro.runtime.resilient import resilient_cached_map
-
-        outcome = resilient_cached_map(
-            fn, items, keys=keys, cache=cache, workers=workers,
-            retries=retries, task_timeout=task_timeout,
-            failure_policy=failure_policy, shared=shared,
-        )
-        return outcome if failure_policy == "partial" \
-            else outcome.results
-    store = resolve_cache(cache)
-    payloads: Sequence[_T] = list(items)
-    if store is None or keys is None:
-        return map_tasks(fn, payloads, workers=workers, shared=shared)
-    if len(keys) != len(payloads):
-        raise ConfigurationError(
-            f"got {len(keys)} cache keys for {len(payloads)} items"
-        )
-    results: list[Any] = [None] * len(payloads)
-    pending: list[tuple[int, _T]] = []
-    for i, (item, key) in enumerate(zip(payloads, keys)):
-        hit, value = store.get(key)
-        if hit:
-            results[i] = value
-        else:
-            pending.append((i, item))
-    computed = _iter_map(fn, [item for _, item in pending], workers,
-                         shared=shared)
-    for (i, _), value in zip(pending, computed):
-        results[i] = value
-        store.put(keys[i], value)
-    return results
+    outcome = resilient_cached_map(
+        fn, items, keys=keys, cache=cache, workers=workers,
+        retries=retries, task_timeout=task_timeout,
+        failure_policy=failure_policy, shared=shared,
+    )
+    return outcome if failure_policy == "partial" else outcome.results

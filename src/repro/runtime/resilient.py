@@ -1,10 +1,14 @@
 """Fault-tolerant task execution: retries, timeouts, crash recovery.
 
-:func:`map_tasks <repro.runtime.executor.map_tasks>` answers "run these
-concurrently, bit-identically"; this module answers the reciprocal
-robustness question — *what happens when a worker dies mid-sweep?*  The
-paper pitches the sensor as infrastructure deployed "on a systematic
-basis ... as scan chains are for fault verification"; an infrastructure
+This is the runtime's one map engine.  :func:`map_tasks
+<repro.runtime.executor.map_tasks>` and :func:`cached_map
+<repro.runtime.executor.cached_map>` are thin names over
+:func:`resilient_map` and :func:`resilient_cached_map`; with
+``retries=0`` and ``failure_policy="raise"`` the engine is a plain
+order-preserving fan-out.  Beyond that it answers the robustness
+question — *what happens when a worker dies mid-sweep?*  The paper
+pitches the sensor as infrastructure deployed "on a systematic basis
+... as scan chains are for fault verification"; an infrastructure
 runtime has to survive the faults its own payload can detect:
 
 * **Bounded retries with deterministic backoff.**  A failed attempt is
@@ -15,8 +19,9 @@ runtime has to survive the faults its own payload can detect:
 * **Worker-crash recovery.**  A killed worker (OOM, SIGKILL, segfault)
   breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`.
   The engine rebuilds the pool and resubmits only the unfinished tasks.
-  Since the pool cannot attribute the crash, every in-flight task is
-  charged one attempt — documented, bounded, and honest.
+  Since the pool cannot attribute the crash, every in-flight task (at
+  most two per worker) is charged one attempt — documented, bounded,
+  and honest.
 * **Per-task timeouts.**  A task past its deadline is presumed stuck;
   its pool is torn down (stuck workers are killed), innocent in-flight
   tasks are resubmitted *without* an attempt charge, and the stuck task
@@ -239,11 +244,6 @@ class _Run:
                  keys: Sequence[str] | None,
                  on_ok: Callable[[int, Any], None],
                  stats: RunStats) -> None:
-        if failure_policy not in FAILURE_POLICIES:
-            raise ConfigurationError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {failure_policy!r}"
-            )
         self.fn = fn
         self.slots = slots
         self.workers = workers
@@ -286,7 +286,7 @@ class _Run:
             if kind == "error" and self.policy.retries == 0 \
                     and cause is not None:
                 # No retries were configured: propagate the task's own
-                # exception, exactly as the plain executor would.
+                # exception, exactly as a plain loop would.
                 raise cause
             err = _ERROR_BY_KIND[kind](
                 f"task {slot.index} abandoned after {slot.attempts} "
@@ -319,6 +319,12 @@ class _Run:
 
     def run_pool(self) -> None:
         n = max(1, self.workers)
+        # Window submission.  With a deadline, at most one task per
+        # worker is in flight, so submit time approximates start time
+        # and deadlines measure actual runtime.  Without one, a second
+        # task waits behind each worker, so no worker idles while the
+        # parent hands it the next task.
+        window = n if self.policy.task_timeout is not None else 2 * n
         pool = ProcessPoolExecutor(max_workers=n)
         ready: deque[_Slot] = deque(self.slots)
         delayed: list[tuple[float, int, _Slot]] = []
@@ -329,10 +335,7 @@ class _Run:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     ready.append(heapq.heappop(delayed)[2])
-                # Window submission: at most one task per worker in
-                # flight, so submit time approximates start time and
-                # deadlines measure actual runtime.
-                while ready and len(inflight) < n:
+                while ready and len(inflight) < window:
                     slot = ready.popleft()
                     fut = pool.submit(_guarded, (self.fn, slot.item))
                     slot.deadline = (
@@ -455,8 +458,8 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 # -- public API ----------------------------------------------------------------
 
 
-def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
-             shared: "Mapping[str, Any] | None") -> None:
+def _drive(run: _Run, fn: Callable[..., Any],
+           shared: "Mapping[str, Any] | None") -> None:
     """Drive one prepared :class:`_Run`, optionally with broadcast
     arrays riding shared memory (pool) or read-only views (serial).
 
@@ -464,11 +467,9 @@ def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
     parent, so after a worker crash the rebuilt pool's fresh workers
     simply re-attach by name and the campaign continues.
     """
-    n = min(run.workers, n_slots)
-    use_pool = not (n <= 1 and run.policy.task_timeout is None)
+    use_pool = run.workers > 1 or run.policy.task_timeout is not None
     if shared is None:
         if use_pool:
-            run.workers = n
             with PROFILER.measure("runtime.pool"):
                 run.run_pool()
         else:
@@ -480,14 +481,50 @@ def _execute(run: _Run, fn: Callable[..., Any], n_slots: int,
     if use_pool:
         with SharedArrayPool(shared) as shm_pool:
             run.fn = SharedTask(fn, shm_pool.handles)
-            shm_pool.charge_tasks(n_slots)
-            run.workers = n
+            shm_pool.charge_tasks(len(run.slots))
             with PROFILER.measure("runtime.pool"):
                 run.run_pool()
     else:
         arrays = _readonly_views(shared)
         run.fn = lambda item: fn(item, arrays)
         run.run_serial()
+
+
+def _execute(fn: Callable[..., Any], payloads: Sequence[Any],
+             pending: Iterable[int], *, workers: int | None,
+             retries: int, task_timeout: float | None,
+             policy: RetryPolicy | None, failure_policy: FailurePolicy,
+             keys: Sequence[str] | None, results: list,
+             on_ok: Callable[[int, Any], None], stats: RunStats,
+             shared: "Mapping[str, Any] | None") -> MapOutcome:
+    """Run ``fn`` over ``payloads[i]`` for each ``i`` in ``pending``;
+    ``on_ok`` receives each completed ``(i, value)``."""
+    from repro.runtime.executor import resolve_workers
+
+    if policy is None:
+        policy = RetryPolicy(retries=retries, task_timeout=task_timeout)
+    slots = [_Slot(index=i, item=payloads[i]) for i in pending]
+    run = _Run(fn, slots,
+               workers=min(resolve_workers(workers), len(slots)),
+               policy=policy, failure_policy=failure_policy, keys=keys,
+               on_ok=on_ok, stats=stats)
+    if slots:
+        _drive(run, fn, shared)
+    return MapOutcome(results=results, failures=tuple(run.failures),
+                      stats=stats)
+
+
+def _check_batch(failure_policy: str, keys: Sequence[str] | None,
+                 payloads: Sequence[Any]) -> None:
+    if failure_policy not in FAILURE_POLICIES:
+        raise ConfigurationError(
+            f"failure_policy must be one of {FAILURE_POLICIES}, "
+            f"got {failure_policy!r}"
+        )
+    if keys is not None and len(keys) != len(payloads):
+        raise ConfigurationError(
+            f"got {len(keys)} keys for {len(payloads)} items"
+        )
 
 
 def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
@@ -524,37 +561,20 @@ def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
         A :class:`MapOutcome` — under ``"raise"`` its ``failures`` is
         always empty (a failure would have raised instead).
     """
-    from repro.runtime.executor import resolve_workers
-
     payloads = list(items)
-    if policy is None:
-        policy = RetryPolicy(retries=retries, task_timeout=task_timeout)
-    if failure_policy not in FAILURE_POLICIES:
-        raise ConfigurationError(
-            f"failure_policy must be one of {FAILURE_POLICIES}, "
-            f"got {failure_policy!r}"
-        )
-    if keys is not None and len(keys) != len(payloads):
-        raise ConfigurationError(
-            f"got {len(keys)} keys for {len(payloads)} items"
-        )
+    _check_batch(failure_policy, keys, payloads)
     results: list[Any] = [None] * len(payloads)
-    stats = RunStats(tasks=len(payloads))
 
     def on_ok(index: int, value: Any) -> None:
         results[index] = value
         if on_result is not None:
             on_result(index, value)
 
-    slots = [_Slot(index=i, item=item)
-             for i, item in enumerate(payloads)]
-    run = _Run(fn, slots, workers=resolve_workers(workers),
-               policy=policy, failure_policy=failure_policy, keys=keys,
-               on_ok=on_ok, stats=stats)
-    if slots:
-        _execute(run, fn, len(slots), shared)
-    return MapOutcome(results=results, failures=tuple(run.failures),
-                      stats=stats)
+    return _execute(fn, payloads, range(len(payloads)), workers=workers,
+                    retries=retries, task_timeout=task_timeout,
+                    policy=policy, failure_policy=failure_policy,
+                    keys=keys, results=results, on_ok=on_ok,
+                    stats=RunStats(tasks=len(payloads)), shared=shared)
 
 
 def resilient_cached_map(fn: Callable[[Any], Any],
@@ -575,7 +595,9 @@ def resilient_cached_map(fn: Callable[[Any], Any],
 
     Cache lookups happen up front in the parent process (hit/miss
     counters stay authoritative); only the misses enter the resilient
-    engine.
+    engine, and hits and fresh results are stitched back together in
+    submission order.  ``keys=None`` or no cache runs
+    :func:`resilient_map`.
     """
     from repro.runtime.cache import resolve_cache
 
@@ -587,36 +609,25 @@ def resilient_cached_map(fn: Callable[[Any], Any],
                              policy=policy,
                              failure_policy=failure_policy, keys=keys,
                              shared=shared)
-    if len(keys) != len(payloads):
-        raise ConfigurationError(
-            f"got {len(keys)} cache keys for {len(payloads)} items"
-        )
+    _check_batch(failure_policy, keys, payloads)
     results: list[Any] = [None] * len(payloads)
-    pending: list[tuple[int, Any]] = []
-    hits = 0
-    for i, (item, key) in enumerate(zip(payloads, keys)):
+    pending: list[int] = []
+    for i, key in enumerate(keys):
         hit, value = store.get(key)
         if hit:
             results[i] = value
-            hits += 1
         else:
-            pending.append((i, item))
-    if policy is None:
-        policy = RetryPolicy(retries=retries, task_timeout=task_timeout)
-    stats = RunStats(tasks=len(pending), cache_hits=hits,
-                     cache_misses=len(pending))
+            pending.append(i)
 
     def on_ok(index: int, value: Any) -> None:
         results[index] = value
         store.put(keys[index], value)
 
-    slots = [_Slot(index=i, item=item) for i, item in pending]
-    from repro.runtime.executor import resolve_workers
-
-    run = _Run(fn, slots, workers=resolve_workers(workers),
-               policy=policy, failure_policy=failure_policy, keys=keys,
-               on_ok=on_ok, stats=stats)
-    if slots:
-        _execute(run, fn, len(slots), shared)
-    return MapOutcome(results=results, failures=tuple(run.failures),
-                      stats=stats)
+    stats = RunStats(tasks=len(pending),
+                     cache_hits=len(payloads) - len(pending),
+                     cache_misses=len(pending))
+    return _execute(fn, payloads, pending, workers=workers,
+                    retries=retries, task_timeout=task_timeout,
+                    policy=policy, failure_policy=failure_policy,
+                    keys=keys, results=results, on_ok=on_ok, stats=stats,
+                    shared=shared)

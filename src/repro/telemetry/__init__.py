@@ -16,9 +16,7 @@ sweep.  This package is that missing online layer:
   emitting :class:`~repro.telemetry.events.DroopEvent` records;
 * :mod:`repro.telemetry.sources` — adapters from
   :class:`~repro.core.monitor.NoiseMonitor` captures, scan-chain
-  shift-outs, PDN transient grids, raw arrays and pluggable
-  measurement drivers (:func:`~repro.telemetry.sources.backend_source`)
-  to sample streams;
+  shift-outs, PDN transient grids and raw arrays to sample streams;
 * :mod:`repro.telemetry.pipeline` — the
   :class:`~repro.telemetry.pipeline.TelemetryPipeline` orchestrator:
   chunked kernel decode (bit-identical to batch), per-site aggregation,
@@ -43,7 +41,6 @@ _EXPORTS = {
     "SampleBlock": ".sources",
     "TelemetryPipeline": ".pipeline",
     "array_source": ".sources",
-    "backend_source": ".sources",
     "batch_decode": ".pipeline",
     "grid_transient_source": ".sources",
     "monitor_source": ".sources",

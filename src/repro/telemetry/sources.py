@@ -213,49 +213,6 @@ def synthetic_droop_trace(*, n_samples: int, dt: float = 1e-9,
     return times, volts, onsets
 
 
-def backend_source(backend, levels: np.ndarray, *, code: int,
-                   times: np.ndarray | None = None, dt: float = 1e-9,
-                   site: str | None = None,
-                   block: int = 4096) -> Iterator[SampleBlock]:
-    """Word stream measured through a :class:`~repro.backends.
-    SensorBackend` at a trace of static rail levels.
-
-    The driver must already be configured (design/rail/corner bound).
-    Levels are measured in ``block``-sized batches — one
-    ``measure_batch`` op per chunk, so a recording of the stream stays
-    a handful of trace records and a replayed trace feeds the pipeline
-    bit-identically in the same bounded memory.
-
-    Args:
-        backend: A configured measurement driver.
-        levels: ``(n,)`` static rail levels, volts (the quasi-static
-            sampling model: each telemetry sample is one
-            PREPARE/SENSE at that instant's rail level).
-        code: Delay code to measure under.
-        times: ``(n,)`` sample instants, seconds; defaults to a
-            uniform ``dt`` grid from 0.
-        dt: Grid step when ``times`` is omitted.
-        site: Site label; defaults to the driver's registry id.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ConfigurationError("levels must be a non-empty 1-D array")
-    if times is None:
-        times = np.arange(levels.size, dtype=float) * dt
-    else:
-        times = np.asarray(times, dtype=float)
-    if times.shape != levels.shape:
-        raise ConfigurationError(
-            f"trace shape mismatch: {times.shape} vs {levels.shape}"
-        )
-    label = site if site is not None else backend.id
-    for sl in _chunks(levels.size, block):
-        words = backend.measure_batch(levels[sl], code=code)
-        yield SampleBlock(site=label, times=times[sl],
-                          values=np.asarray(words, dtype=np.float64),
-                          kind="word")
-
-
 def _word_bits(word) -> tuple[int, ...]:
     return word.bits  # ThermometerWord: bit 1 first
 

@@ -26,6 +26,17 @@ def test_bench_suite_is_nonempty():
     assert len(BENCH_MODULES) >= 15
 
 
+def test_machine_fingerprint_keeps_the_host_keys():
+    """Bench hosts stay comparable with records that carry the numeric
+    stack: the kernel backend is the NumPy one, and numba's version
+    (or ``"none"``) is still recorded."""
+    from benchmarks._perf import machine_fingerprint
+
+    fp = machine_fingerprint()
+    assert fp["kernel_backend"] == "numpy"
+    assert isinstance(fp["numba"], str) and fp["numba"]
+
+
 def test_chaos_campaign_smoke(design, tmp_path):
     """The end-to-end resilience drill stays green in tier-1: injected
     worker kills, vandalized cache entries and a stuck-at stage must

@@ -1,12 +1,12 @@
-"""Precision policy and backend selection: the float32 contract.
+"""Precision policy: the float32 contract.
 
 The float32 fast path is *opt-in with a documented bound*: solved
 thresholds within :data:`FLOAT32_THRESHOLD_BOUND_V` of the float64
 oracle, decoded words bit-identical wherever the supply clears every
 threshold by more than the bound.  Hypothesis drives both claims
-across design variants, process corners and masked-bit arrays.  The
-backend half pins the ``$REPRO_KERNEL_BACKEND`` selection rules and —
-critically — that dtype and backend are folded into cache
+across design variants, process corners and masked-bit arrays.  An
+explicit ``dtype=`` pins a kernel's result whatever
+``$REPRO_KERNEL_DTYPE`` says, and the dtype is folded into cache
 fingerprints, so artifacts from different numeric stacks can never
 collide.
 """
@@ -17,20 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import repro.kernels.backend as backend_mod
 from repro.devices.corners import CORNERS, corner_by_name
+from repro.devices.variation import VariationModel
 from repro.errors import ConfigurationError
 from repro.kernels import (
     FLOAT32_THRESHOLD_BOUND_V,
-    KERNEL_BACKEND_ENV,
     KERNEL_DTYPE_ENV,
-    active_backend,
-    backend_token,
     dtype_token,
-    numba_version,
-    requested_backend,
+    lot_threshold_grid,
     resolve_dtype,
+    solve_voltage_factor,
     threshold_grid,
+    voltage_factor_grid,
     word_grid,
 )
 from repro.runtime.cache import design_fingerprint, task_key
@@ -131,49 +129,47 @@ class TestFloat32Bound:
         np.testing.assert_array_equal(w32, w64)
 
 
-class TestBackendSelection:
-    def test_requested_default_auto(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert requested_backend() == "auto"
+class TestExplicitDtypePinsTheResult:
+    """An explicit ``dtype=`` wins over ``$REPRO_KERNEL_DTYPE`` in every
+    step of a solve, not only in the iteration."""
 
-    def test_requested_validation(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "cuda")
-        with pytest.raises(ConfigurationError):
-            requested_backend()
+    @staticmethod
+    def _under(monkeypatch, env, call):
+        if env is None:
+            monkeypatch.delenv(KERNEL_DTYPE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(KERNEL_DTYPE_ENV, env)
+        return call()
 
-    def test_forced_numpy(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numpy")
-        assert active_backend() == "numpy"
-        assert backend_token() == "backend/numpy"
+    @pytest.mark.parametrize("dtype, env", [("float32", "float64"),
+                                            ("float64", "float32")])
+    def test_lot_threshold_grid(self, design, monkeypatch, dtype, env):
+        lot = VariationModel().sample_lot(12, design.n_bits, seed=5)
 
-    def test_numba_request_without_numba_raises(self, monkeypatch):
-        if numba_version() is not None:
-            pytest.skip("numba importable here; raise path untestable")
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numba")
-        with pytest.raises(ConfigurationError):
-            active_backend()
+        def solve():
+            return lot_threshold_grid(design, lot, 3, dtype=dtype)
 
-    def test_simulated_numba_resolves_auto(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        monkeypatch.setattr(backend_mod, "_disabled", False)
-        assert active_backend() == "numba"
-        assert backend_token() == "backend/numba-0.59.0"
+        unset = self._under(monkeypatch, None, solve)
+        pinned = self._under(monkeypatch, env, solve)
+        assert pinned.dtype == unset.dtype == np.dtype(dtype)
+        assert pinned.tobytes() == unset.tobytes()
 
-    def test_simulated_numba_still_forceable_to_numpy(self,
-                                                      monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numpy")
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        assert active_backend() == "numpy"
+    def test_bracket_checks_use_the_callers_dtype(self, monkeypatch):
+        # A target between g(v_hi) in float64 and in float32: the root
+        # sits just below v_hi in float64, while a float32 bracket
+        # check would wrongly say the gate is too slow at v_hi.
+        vth, alpha = 0.3, 1.3
+        g64 = float(voltage_factor_grid(3.0, vth, alpha, dtype="float64"))
+        g32 = float(voltage_factor_grid(3.0, vth, alpha, dtype="float32"))
+        assert g32 > g64
+        g_t = np.array([0.5 * (g64 + g32)])
 
-    def test_disabled_compile_falls_back(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        monkeypatch.setattr(backend_mod, "_disabled", True)
-        assert active_backend() == "numpy"
+        def solve():
+            return solve_voltage_factor(g_t, vth, alpha, dtype="float64")
+
+        unset = self._under(monkeypatch, None, solve)
+        pinned = self._under(monkeypatch, "float32", solve)
+        assert pinned.tobytes() == unset.tobytes()
 
 
 class TestFingerprintIsolation:
@@ -184,15 +180,6 @@ class TestFingerprintIsolation:
         fp64 = design_fingerprint(design)
         monkeypatch.setenv(KERNEL_DTYPE_ENV, "float32")
         assert design_fingerprint(design) != fp64
-
-    def test_backend_changes_fingerprint(self, design, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache", None)
-        fp_numpy = design_fingerprint(design)
-        monkeypatch.setattr(backend_mod, "_numba_version_cache",
-                            "0.59.0")
-        monkeypatch.setattr(backend_mod, "_disabled", False)
-        assert design_fingerprint(design) != fp_numpy
 
     def test_task_keys_distinct_per_dtype(self, design, monkeypatch):
         monkeypatch.delenv(KERNEL_DTYPE_ENV, raising=False)
