@@ -193,18 +193,15 @@ def measure_s_curve(design: "SensorDesign", bit: int, *,
 
     The sweep covers ``threshold ± span_sigmas * noise_rms``; each
     level takes ``n_per_level`` seeded noisy measures.
-    ``method="kernel"`` (default) batches every draw of the sweep into
-    one Generator call and one vectorized pass/fail evaluation
-    (:func:`repro.kernels.montecarlo.s_curve_trip_probability`);
-    ``method="scalar"`` is the original per-draw loop.  Both yield the
-    same probabilities exactly for the same ``seed``.
-
-    ``backend=`` (an instance or registry spec, see
-    :mod:`repro.backends`) sweeps through a measurement driver's
-    ``s_curve`` op instead — the kernel driver reproduces
-    ``method="kernel"`` exactly; the event-sim driver answers every
-    draw with a full PREPARE/SENSE run.  Mutually exclusive with a
-    non-default ``method``.
+    ``method="kernel"`` (default) sweeps through a measurement
+    driver's ``s_curve`` op: ``backend=`` (an instance or registry
+    spec, see :mod:`repro.backends`) names the driver, and unset it is
+    the kernel driver (``$REPRO_BACKEND`` is not read), which batches
+    every draw into one Generator call and one vectorized pass/fail
+    evaluation; the event-sim driver answers every draw with a full
+    PREPARE/SENSE run.  ``method="scalar"`` is the original per-draw
+    loop, the reference the kernel driver equals exactly for the same
+    ``seed``; it takes no ``backend=``.
 
     Raises:
         ConfigurationError: bad parameters.
@@ -215,14 +212,12 @@ def measure_s_curve(design: "SensorDesign", bit: int, *,
         raise ConfigurationError(
             f"unknown method {method!r} (use 'kernel'/'scalar')"
         )
-    if backend is not None:
-        if method != "kernel":
-            raise ConfigurationError(
-                "pass either method= or backend=, not both"
-            )
+    if method == "kernel":
         from repro.backends import resolve_backend
+        from repro.backends.kernel import KernelBackend
 
-        bk = resolve_backend(backend)
+        bk = KernelBackend() if backend is None \
+            else resolve_backend(backend)
         bk.configure(design)
         levels, probs = bk.s_curve(
             bit, code=code, noise_rms=noise_rms,
@@ -232,19 +227,9 @@ def measure_s_curve(design: "SensorDesign", bit: int, *,
         return SCurve(bit=bit, levels=tuple(levels),
                       pass_probability=tuple(probs),
                       n_per_level=n_per_level)
-    if method == "kernel":
-        from repro.kernels.montecarlo import s_curve_trip_probability
-
-        levels, probs = s_curve_trip_probability(
-            design, code=code, noise_rms=noise_rms,
-            n_per_level=n_per_level, seeds=[seed],
-            span_sigmas=span_sigmas, n_levels=n_levels, bits=[bit],
-        )
-        return SCurve(
-            bit=bit,
-            levels=tuple(float(v) for v in levels[0]),
-            pass_probability=tuple(float(p) for p in probs[0]),
-            n_per_level=n_per_level,
+    if backend is not None:
+        raise ConfigurationError(
+            "pass either method= or backend=, not both"
         )
     if noise_rms <= 0:
         raise ConfigurationError(

@@ -78,22 +78,22 @@ def _kernel_backend() -> SensorBackend:
     return KernelBackend()
 
 
-def _sim_backend() -> SensorBackend:
+def _sim_backend(**settings: float) -> SensorBackend:
     from repro.backends.sim import SimBackend
 
-    return SimBackend()
+    return SimBackend(**settings)
 
 
-#: Spec name -> zero-argument driver factory (the stock drivers'
-#: modules load on their first construction).
-_REGISTRY: dict[str, Callable[[], SensorBackend]] = {
+#: Spec name -> driver factory (the stock drivers' modules load on
+#: their first construction).
+_REGISTRY: dict[str, Callable[..., SensorBackend]] = {
     "kernel": _kernel_backend,
     "sim": _sim_backend,
 }
 
 
 def register(name: str,
-             factory: Callable[[], SensorBackend]) -> None:
+             factory: Callable[..., SensorBackend]) -> None:
     """Add a driver factory under a spec name (e.g. a hardware rig).
 
     Re-registering a name replaces its factory — deliberate, so test
@@ -112,11 +112,13 @@ def available() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get(spec: str) -> SensorBackend:
+def get(spec: str, **settings: float) -> SensorBackend:
     """Resolve a spec string to a fresh driver instance.
 
     ``"replay:<path>"`` loads the trace file at ``<path>``; any other
-    spec must name a registered factory.
+    spec must name a registered factory, which is called with
+    ``settings`` as keywords (of the stock factories only ``"sim"``
+    takes any: ``tol`` and ``bracket_pad``).
     """
     if spec.startswith("replay:"):
         path = spec[len("replay:"):]
@@ -133,7 +135,7 @@ def get(spec: str) -> SensorBackend:
             f"unknown backend {spec!r}; registered: "
             f"{', '.join(available())} (or 'replay:<path>')"
         )
-    return factory()
+    return factory(**settings)
 
 
 def resolve_backend(backend: "SensorBackend | str | None",

@@ -26,10 +26,16 @@ data-acquisition test infrastructure):
    thresholds in *measured-rail* terms (ascending VDD-n levels for the
    VDD rail; GND-n rise levels for the GND rail), NaN marking a bit
    the driver could not characterize (the degraded-mode mask).
-4. :meth:`~SensorBackend.capabilities` advertises the optional
+4. :meth:`~SensorBackend.sweep_codes` / :meth:`~SensorBackend.sweep_caps`
+   are the Fig. 5 / Fig. 4 sweeps, the only ops the
+   :mod:`repro.core.characterization` entry points call.  The defaults
+   call :meth:`~SensorBackend.bit_thresholds` once per code or probe;
+   the kernel driver solves a cap sweep at once and the sim driver
+   runs a sweep as one pool batch.
+5. :meth:`~SensorBackend.capabilities` advertises the optional
    surfaces (:meth:`~SensorBackend.lot_thresholds`,
    :meth:`~SensorBackend.s_curve`); entry points check before calling.
-5. :meth:`~SensorBackend.fingerprint` is a stable hash of the driver
+6. :meth:`~SensorBackend.fingerprint` is a stable hash of the driver
    id plus every engine version tag that can change its numbers — it
    is folded into :func:`~repro.runtime.cache.design_fingerprint` (and
    thus every ResultCache key) so artifacts produced by different
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -220,6 +226,39 @@ class SensorBackend(abc.ABC):
         raise BackendError(
             f"backend {self.id!r} does not characterize thresholds"
         )
+
+    # -- characterization sweeps -------------------------------------------
+
+    def sweep_codes(self, design: "SensorDesign", codes: Sequence[int],
+                    *, rail: "SenseRail | None" = None,
+                    tech: "Technology | None" = None,
+                    **sweep: Any) -> list[tuple[float, ...]]:
+        """One :meth:`bit_thresholds` row of ``design`` per delay code.
+
+        ``sweep`` holds the entry points' sweep options (``workers``,
+        ``cache``, ``retries``, ``task_timeout``, ``failure_policy``),
+        which only a driver that fans a sweep out reads.
+        """
+        out = []
+        for code in codes:
+            self.configure(design, rail=rail, tech=tech)
+            out.append(tuple(self.bit_thresholds(code)))
+        return out
+
+    def sweep_caps(self, design: "SensorDesign", caps: Sequence[float],
+                   *, code: int, tech: "Technology | None" = None,
+                   **sweep: Any) -> list[float]:
+        """VDD-rail bit-1 threshold under ``code`` of the one-stage
+        probe ``design.with_load_caps((cap,))`` per trim cap (NaN marks
+        a failed probe); ``sweep`` as in :meth:`sweep_codes`."""
+        from repro.core.sensor import SenseRail
+
+        out = []
+        for cap in caps:
+            self.configure(design.with_load_caps((float(cap),)),
+                           rail=SenseRail.VDD, tech=tech)
+            out.append(self.bit_thresholds(code, bits=(1,))[0])
+        return out
 
     def lot_thresholds(self, lot: Sequence["VariationSample"],
                        code: int) -> np.ndarray:

@@ -9,6 +9,8 @@ and mismatch lots are read through the process-wide
 * thresholds — :func:`repro.kernels.thresholds.threshold_grid`
   (|kernel - scalar Brent oracle| <= 2e-9 V; the oracle is the
   in-tree :func:`repro.devices.brent.brentq`, ``==`` to scipy's);
+* trim-cap sweeps — one :func:`repro.kernels.solve_supply_for_delay`
+  call over every probe cap;
 * mismatch lots — :func:`repro.kernels.thresholds.lot_threshold_grid`;
 * S-curves — :func:`repro.kernels.montecarlo.s_curve_trip_probability`
   under the documented seed-threading scheme.
@@ -16,13 +18,17 @@ and mismatch lots are read through the process-wide
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.backends.base import BackendCapabilities, SensorBackend
 from repro.core.sensor import SenseRail
-from repro.kernels import KERNEL_LAYOUT_VERSION, ladders
+from repro.kernels import (
+    KERNEL_LAYOUT_VERSION,
+    ladders,
+    solve_supply_for_delay,
+)
 from repro.kernels.dtype import resolve_dtype
 from repro.kernels.montecarlo import (
     MC_SEED_SCHEME,
@@ -32,6 +38,8 @@ from repro.kernels.montecarlo import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.calibration import SensorDesign
+    from repro.devices.technology import Technology
     from repro.devices.variation import VariationSample
 
 
@@ -69,6 +77,21 @@ class KernelBackend(SensorBackend):
         grid = self.design.tech.vdd_nominal - np.asarray(
             rungs, dtype=resolve_dtype())
         return tuple(float(v) for v in grid)
+
+    def sweep_caps(self, design: "SensorDesign", caps: Sequence[float],
+                   *, code: int, tech: "Technology | None" = None,
+                   **sweep: Any) -> list[float]:
+        """Every probe's threshold from one vectorized delay-law solve."""
+        inv = design.sensor_inverter(tech)
+        d_pin = design.sense_flipflop(tech).pin("D").cap
+        solved = solve_supply_for_delay(
+            design.effective_window(code, tech),
+            inv.model.intrinsic_cap + (np.asarray(caps, dtype=float)
+                                       + d_pin),
+            inv.model.tech.drive_constant / inv.model.strength,
+            inv.model.tech.vth, inv.model.tech.alpha, v_hi=3.0,
+        )
+        return [float(v) for v in solved]
 
     def lot_thresholds(self, lot: Sequence["VariationSample"],
                        code: int) -> np.ndarray:

@@ -8,6 +8,15 @@ that pass/fail boundary.  Orders of magnitude slower than
 per threshold), which is exactly why the backend seam exists: campaigns
 develop against the kernel driver and cross-check against this one.
 
+Each bisection is bracketed around the kernel driver's threshold.  A
+sweep (:meth:`SimBackend.sweep_codes`, :meth:`SimBackend.sweep_caps`)
+runs all of its bisections as one
+:func:`repro.runtime.resilient.resilient_cached_map` batch: cache
+lookups happen in the parent (so hit and miss counters are
+authoritative), ``workers=`` fans the misses over a process pool
+(results in row order, bit-identical to serial), and each key folds
+this driver's fingerprint, and with it ``tol`` and ``bracket_pad``.
+
 Accuracy note: the event engine realizes the analytic design through
 discretized gate delays, so its pass/fail boundary sits within a few
 microvolts of the kernel threshold (measured ~5e-7 V on the paper
@@ -19,16 +28,61 @@ parity matrix (``tests/test_backends_parity.py``) encodes both bounds.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.backends.base import BackendCapabilities, SensorBackend
+from repro.backends.kernel import KernelBackend
 from repro.core.sensor import SenseRail, SensorBitHarness
 from repro.errors import CharacterizationError, ConfigurationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.calibration import SensorDesign
+    from repro.devices.technology import Technology
+
 #: Version tag of the event-engine realization this driver wraps.
 SIM_ENGINE_VERSION = "sim-engine/v1"
+
+
+def _sim_threshold_task(spec: tuple) -> float:
+    """Bisect the event-driven pass/fail boundary of one bit.
+
+    Picklable for the pool: the request is one payload tuple.
+    """
+    design, bit, code, rail, tech, v_lo, v_hi, tol = spec
+    harness = SensorBitHarness(design, bit, rail, tech)
+    level_kw = "vdd_n" if rail is SenseRail.VDD else "gnd_n"
+
+    def passes(level: float) -> bool:
+        return harness.measure_once(code, **{level_kw: level}).passed
+
+    # For the VDD rail, higher supply passes; for GND, lower bounce does.
+    increasing = rail is SenseRail.VDD
+    hi_passes, lo_passes = passes(v_hi), passes(v_lo)
+    if hi_passes != increasing or lo_passes == increasing:
+        raise CharacterizationError(
+            f"bit {bit}, code {code}: [{v_lo}, {v_hi}] does not bracket "
+            f"the {rail.name} threshold (pass at lo={lo_passes}, "
+            f"hi={hi_passes})"
+        )
+    lo, hi = v_lo, v_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if passes(mid) == increasing:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _sim_bracket(est: float, rail: SenseRail,
+                 bracket_pad: float) -> tuple[float, float]:
+    """Bisection bracket around one analytic estimate."""
+    v_lo = est - bracket_pad
+    if rail is SenseRail.GND:
+        v_lo = max(v_lo, 0.0)
+    return v_lo, est + bracket_pad
 
 
 class SimBackend(SensorBackend):
@@ -37,8 +91,8 @@ class SimBackend(SensorBackend):
     Args:
         tol: Threshold bisection tolerance, volts.  Folded into the
             fingerprint — a looser bisection is a different instrument.
-        bracket_pad: Bisection bracket margin around the analytic
-            estimate, volts.
+        bracket_pad: Bisection bracket margin around the kernel
+            driver's threshold, volts (also folded in).
     """
 
     id = "sim"
@@ -93,33 +147,98 @@ class SimBackend(SensorBackend):
     def bit_thresholds(self, code: int, *,
                        bits: Iterable[int] | None = None
                        ) -> tuple[float, ...]:
-        from repro.core.characterization import (
-            _sim_bracket,
-            _sim_threshold,
-        )
-        from repro.kernels.thresholds import threshold_grid
-
-        design = self.design
-        sel = tuple(range(1, design.n_bits + 1)) if bits is None \
+        sel = tuple(range(1, self.design.n_bits + 1)) if bits is None \
             else tuple(int(b) for b in bits)
-        analytic = threshold_grid(design, (code,), self.tech,
-                                  bits=sel)[:, 0]
-        if self.rail is SenseRail.GND:
-            analytic = design.tech.vdd_nominal - analytic
-        out = []
-        for b, est in zip(sel, analytic):
-            v_lo, v_hi = _sim_bracket(float(est), self.rail,
-                                      self.bracket_pad)
-            try:
-                out.append(_sim_threshold(
-                    design, b, code, rail=self.rail, tech=self.tech,
-                    v_lo=v_lo, v_hi=v_hi, tol=self.tol,
-                ))
-            except CharacterizationError:
-                # Degraded mode: an unbracketable stage is masked, not
-                # fatal — the NaN convention of the protocol.
-                out.append(math.nan)
-        return tuple(out)
+        estimates = self._kernel().bit_thresholds(code, bits=sel)
+        # Degraded mode: a stage whose bisection fails is masked.
+        return tuple(self._bisect(
+            [(self.design, b, code, est)
+             for b, est in zip(sel, estimates)],
+            failure_policy="partial",
+        ))
+
+    def sweep_codes(self, design: "SensorDesign", codes: Sequence[int],
+                    *, rail: SenseRail | None = None,
+                    tech: "Technology | None" = None,
+                    **sweep: Any) -> list[tuple[float, ...]]:
+        """Every (code, bit) bisection of the sweep as one task batch,
+        so a process pool keeps every worker busy across codes."""
+        self.configure(design, rail=rail, tech=tech)
+        kernel = self._kernel()
+        rows = [(design, b, code, est)
+                for code in codes
+                for b, est in enumerate(kernel.bit_thresholds(code),
+                                        start=1)]
+        flat = self._bisect(rows, **sweep)
+        n = design.n_bits
+        return [tuple(flat[k * n:(k + 1) * n])
+                for k in range(len(codes))]
+
+    def sweep_caps(self, design: "SensorDesign", caps: Sequence[float],
+                   *, code: int, tech: "Technology | None" = None,
+                   **sweep: Any) -> list[float]:
+        """One bisection per single-stage probe design, one batch.
+
+        Each probe's ``load_caps`` land in its fingerprint, so every
+        cap gets its own cache identity.
+        """
+        self.configure(design, rail=SenseRail.VDD, tech=tech)
+        estimates = KernelBackend().sweep_caps(design, caps, code=code,
+                                               tech=tech)
+        return self._bisect([
+            (design.with_load_caps((float(cap),)), 1, code, est)
+            for cap, est in zip(caps, estimates)
+        ], **sweep)
+
+    def _kernel(self) -> KernelBackend:
+        """The kernel driver on this configuration: its thresholds
+        centre the bisection brackets."""
+        kernel = KernelBackend()
+        kernel.configure(self.design, rail=self.rail, tech=self.tech)
+        return kernel
+
+    def _bisect(self, rows: Sequence[tuple["SensorDesign", int, int,
+                                           float]], *,
+                workers: int | None = None,
+                cache: Any = None,
+                retries: int = 0,
+                task_timeout: float | None = None,
+                failure_policy: str = "raise") -> list[float]:
+        """Bisect ``(design, bit, code, estimate)`` rows as one
+        batch, in row order (see the module docstring).
+
+        Under ``failure_policy="partial"`` a row that exhausts its
+        retry budget reports NaN instead of aborting the sweep.
+        """
+        from repro.runtime.cache import (
+            design_fingerprint,
+            resolve_cache,
+            stable_hash,
+            task_key,
+        )
+        from repro.runtime.resilient import resilient_cached_map
+
+        rail, tech, tol = self.rail, self.tech, self.tol
+        store = resolve_cache(cache)
+        tech_fp = None if tech is None else stable_hash(tech)
+        design_fps: dict[int, str] = {}
+        specs, keys = [], []
+        for design, bit, code, est in rows:
+            v_lo, v_hi = _sim_bracket(float(est), rail, self.bracket_pad)
+            specs.append((design, bit, code, rail, tech, v_lo, v_hi, tol))
+            if store is not None:
+                fp = design_fps.get(id(design))
+                if fp is None:
+                    fp = design_fps[id(design)] = design_fingerprint(
+                        design, backend=self)
+                keys.append(task_key("sim-threshold", fp, bit, code,
+                                     rail, tech_fp, v_lo, v_hi, tol))
+        outcome = resilient_cached_map(
+            _sim_threshold_task, specs, keys=keys or None, cache=store,
+            workers=workers, retries=retries, task_timeout=task_timeout,
+            failure_policy=failure_policy,
+        )
+        return [math.nan if t is None else t for t in outcome.results]
 
     def s_curve(self, bit: int, *, code: int, noise_rms: float,
                 n_per_level: int,

@@ -125,6 +125,15 @@ class StageContext:
             self._fingerprint = design_fingerprint(self.design)
         return self._fingerprint
 
+    def sweep_backend(self, tol: float) -> Any:
+        """A characterization stage's driver: the shared one, except
+        that a stock ``sim`` campaign bisects at the stage's ``tol``."""
+        if self.spec.backend != "sim":
+            return self.backend
+        from repro.backends import get
+
+        return get("sim", tol=tol)
+
     def tech_token(self) -> str:
         return self.tech.name if self.tech is not None else "nominal"
 
@@ -158,8 +167,8 @@ def _run_characterization(ctx: StageContext,
     codes = [int(c) for c in stage.param("codes", [1, 2, 3])]
     tol = float(stage.param("tol", 0.5e-3))
     chars = characterize_array(
-        ctx.design, codes, tech=ctx.tech, backend=ctx.backend,
-        tol=tol, cache=ctx.cache, **ctx.runtime_kwargs(),
+        ctx.design, codes, tech=ctx.tech, backend=ctx.sweep_backend(tol),
+        cache=ctx.cache, **ctx.runtime_kwargs(),
     )
     payload = {
         "codes": codes,
@@ -186,7 +195,7 @@ def _run_cap_sweep(ctx: StageContext,
     tol = float(stage.param("tol", 0.5e-3))
     rows = threshold_vs_capacitance(
         ctx.design, [c * 1e-15 for c in caps_ff], code=code,
-        tech=ctx.tech, backend=ctx.backend, tol=tol,
+        tech=ctx.tech, backend=ctx.sweep_backend(tol),
         cache=ctx.cache, **ctx.runtime_kwargs(),
     )
     payload = {
@@ -199,10 +208,7 @@ def _run_cap_sweep(ctx: StageContext,
 
 def _run_threshold_sweep(ctx: StageContext,
                          stage: StageSpec) -> tuple[dict, dict]:
-    from repro.core.characterization import (
-        _sim_bracket,
-        _sim_threshold_task,
-    )
+    from repro.backends.sim import _sim_bracket, _sim_threshold_task
     from repro.core.sensor import SenseRail
     from repro.runtime.resilient import resilient_cached_map
 

@@ -111,33 +111,23 @@ def _runtime_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _add_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default=None, metavar="NAME",
-                   help="measurement driver: a repro.backends registry "
-                        "spec ('kernel', 'sim', 'replay:PATH'; see "
-                        "'repro backends').  Default: $REPRO_BACKEND "
-                        "or the analytic kernel")
-
-
-def _char_route(args: argparse.Namespace) -> dict:
-    """Routing keywords for a characterization sweep.
-
-    ``--backend`` and the legacy ``--sim`` flag are mutually
-    exclusive (``--sim`` is shorthand for the classic bisected
-    event-simulation route; ``--backend sim`` reaches the same
-    engine through the driver registry).  With neither flag the
-    sweep passes no routing at all, so ``$REPRO_BACKEND`` applies
-    and the analytic kernel stays the default.
-    """
-    if args.backend is not None:
-        if args.sim:
-            raise SystemExit(
-                "error: --sim and --backend are mutually exclusive "
-                "(use --backend sim for the event-simulation driver)")
-        return {"backend": args.backend}
-    if args.sim:
-        return {"method": "sim"}
-    return {}
+def _add_backend_arg(p: argparse.ArgumentParser, *,
+                     sim_flag: bool = False) -> None:
+    """``--backend NAME``; with ``sim_flag``, also ``--sim``, another
+    spelling of ``--backend sim`` (the two are mutually exclusive)."""
+    group = p.add_mutually_exclusive_group() if sim_flag else p
+    group.add_argument("--backend", default=None, metavar="NAME",
+                       help="measurement driver: a repro.backends "
+                            "registry spec ('kernel', 'sim', "
+                            "'replay:PATH'; see 'repro backends').  "
+                            "Default: $REPRO_BACKEND or the analytic "
+                            "kernel")
+    if sim_flag:
+        group.add_argument("--sim", dest="backend",
+                           action="store_const", const="sim",
+                           help="bisect the event simulation instead "
+                                "of the analytic law (same as "
+                                "--backend sim)")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -189,8 +179,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     caps = [(args.cap_min + k * args.cap_step) * PF
             for k in range(args.points)]
     points = threshold_vs_capacitance(
-        d, caps, code=args.code,
-        **_char_route(args),
+        d, caps, code=args.code, backend=args.backend,
         **_runtime_kwargs(args),
     )
     print("C [pF]   threshold [V]")
@@ -206,8 +195,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
     d = paper_design()
     chars = characterize_array(
-        d, codes=tuple(args.codes),
-        **_char_route(args),
+        d, codes=tuple(args.codes), backend=args.backend,
         **_runtime_kwargs(args),
     )
     for code, ch in chars.items():
@@ -583,21 +571,41 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     Exit code: 0 for an ``ok`` response (any quality), 3 when the
     server shed the request (``rejected``), 4 when execution errored.
     """
+    import asyncio
     import json
 
-    from repro.errors import ProtocolError
-    from repro.service.client import ServiceClient
+    from repro.errors import ProtocolError, ServiceError
+    from repro.service.client import AsyncServiceClient
 
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"--params is not valid JSON: {exc}") \
             from None
-    with ServiceClient(args.address, timeout=args.timeout) as client:
-        response = client.request(
-            args.kind, params=params, tenant=args.tenant,
-            deadline_s=args.deadline,
-        )
+
+    async def _round_trip() -> dict:
+        client = await AsyncServiceClient(args.address).connect()
+        try:
+            await client.send("c1", args.kind, tenant=args.tenant,
+                              params=params, deadline_s=args.deadline)
+            while True:
+                response = await client.read_response()
+                if response is None:
+                    raise ServiceError(
+                        "connection closed before a terminal response"
+                    )
+                if response.get("id") == "c1":
+                    return response
+        finally:
+            await client.close()
+
+    try:
+        response = asyncio.run(
+            asyncio.wait_for(_round_trip(), args.timeout))
+    except asyncio.TimeoutError:
+        raise ServiceError(
+            f"no response from {args.address} within {args.timeout} s"
+        ) from None
     print(json.dumps(response, indent=2, sort_keys=True))
     status = response.get("status")
     if status == "ok":
@@ -845,19 +853,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first capacitance, pF")
     p.add_argument("--cap-step", type=float, default=0.05)
     p.add_argument("--points", type=int, default=9)
-    p.add_argument("--sim", action="store_true",
-                   help="bisect the event simulation instead of the "
-                        "analytic law")
-    _add_backend_arg(p)
+    _add_backend_arg(p, sim_flag=True)
     _add_runtime_args(p)
     p.set_defaults(func=_cmd_fig4)
 
     p = sub.add_parser("fig5", help="multibit characteristic")
     p.add_argument("--codes", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--sim", action="store_true",
-                   help="bisect the event simulation instead of the "
-                        "analytic law")
-    _add_backend_arg(p)
+    _add_backend_arg(p, sim_flag=True)
     _add_runtime_args(p)
     p.set_defaults(func=_cmd_fig5)
 
@@ -1152,7 +1154,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="per-request deadline")
     p.add_argument("--timeout", type=float, default=30.0,
-                   help="client socket timeout, seconds")
+                   help="client timeout over connect, send and reply, "
+                        "seconds")
     p.set_defaults(func=_cmd_submit)
     return parser
 

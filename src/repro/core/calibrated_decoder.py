@@ -108,7 +108,7 @@ class MeasuredDecoder:
         )
 
         ladder = characterize_bit_thresholds(
-            design, code, tech=tech, method="sim", tol=tol,
+            design, code, tech=tech, backend="sim", tol=tol,
         )
         return cls(ladder=tuple(ladder), code=code, source="bisection")
 

@@ -26,7 +26,6 @@ _EXPORTS = {
     "REQUEST_KINDS": ".protocol",
     "Request": ".protocol",
     "SERVICE_PROTOCOL": ".protocol",
-    "ServiceClient": ".client",
     "TokenBucket": ".admission",
     "build_load": ".chaos",
     "die_sample": ".fleet",

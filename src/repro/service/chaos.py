@@ -73,9 +73,8 @@ def build_load(monkey: ChaosMonkey | int, n_requests: int, *,
     """Build a deterministic fault-laden request list.
 
     Returns request dicts (``id`` / ``kind`` / ``tenant`` / ``params``
-    / ``deadline_s``) for :func:`run_load` or
-    :meth:`~repro.service.client.ServiceClient.submit_many`.  Chaos
-    directives ride in ``params["chaos"]``.
+    / ``deadline_s``) for :func:`run_load`.  Chaos directives ride in
+    ``params["chaos"]``.
 
     Args:
         monkey: The seeded fault schedule (or a seed for one).

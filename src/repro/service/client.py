@@ -1,20 +1,15 @@
-"""Clients for the job server: a blocking socket client for the CLI
-and an asyncio client for load generation.
+"""The job server's client: one asyncio connection, pipelined requests.
 
-Both speak the JSONL protocol of :mod:`repro.service.protocol` and are
-stdlib-only.  The blocking :class:`ServiceClient` is what ``repro
-submit`` uses — connect, pipeline requests, collect each id's single
-terminal response.  The async :class:`AsyncServiceClient` is the
-building block of the chaos drill's load generator
-(:mod:`repro.service.chaos`) and the service benchmark.
+:class:`AsyncServiceClient` speaks the JSONL protocol of
+:mod:`repro.service.protocol` and is stdlib-only.  It is what ``repro
+submit`` uses for its one round trip, and the building block of the
+chaos drill's load generator (:mod:`repro.service.chaos`) and the
+service benchmark.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
-import socket
-from typing import Iterable
 
 from repro.errors import ProtocolError, ServiceError
 from repro.service.protocol import encode_request, parse_response
@@ -33,123 +28,6 @@ def parse_address(address: str) -> tuple[str, "str | int | None"]:
     return host or "127.0.0.1", int(port)
 
 
-class ServiceClient:
-    """Blocking JSONL client (context manager).
-
-    Args:
-        address: ``unix:<path>`` or ``<host>:<port>``.
-        timeout: Socket timeout, seconds, for connect and each read.
-    """
-
-    _ids = itertools.count(1)
-
-    def __init__(self, address: str, *, timeout: float = 30.0) -> None:
-        self.address = address
-        self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._file = None
-
-    def connect(self) -> "ServiceClient":
-        kind, where = parse_address(self.address)
-        try:
-            if kind == "unix":
-                sock = socket.socket(socket.AF_UNIX,
-                                     socket.SOCK_STREAM)
-                sock.settimeout(self.timeout)
-                sock.connect(str(where))
-            else:
-                sock = socket.create_connection(
-                    (kind, int(where)), timeout=self.timeout)
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot connect to {self.address}: {exc}"
-            ) from exc
-        self._sock = sock
-        self._file = sock.makefile("rwb")
-        return self
-
-    def close(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def __enter__(self) -> "ServiceClient":
-        return self.connect()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _require_open(self):
-        if self._file is None:
-            raise ServiceError("client is not connected")
-        return self._file
-
-    def request(self, kind: str, *, params: dict | None = None,
-                tenant: str = "default",
-                deadline_s: float | None = None,
-                id: str | None = None) -> dict:
-        """Send one request and block for its terminal response."""
-        rid = id or f"c{next(self._ids)}"
-        fh = self._require_open()
-        fh.write(encode_request(rid, kind, tenant=tenant,
-                                params=params or {},
-                                deadline_s=deadline_s).encode())
-        fh.flush()
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ServiceError(
-                    "connection closed before a terminal response"
-                )
-            response = parse_response(line)
-            if response.get("id") == rid:
-                return response
-
-    def submit_many(self, requests: Iterable[dict]) -> dict[str, dict]:
-        """Pipeline many requests; returns ``{id: response}``.
-
-        Each ``request`` dict holds ``kind`` plus optional ``id`` /
-        ``tenant`` / ``params`` / ``deadline_s``.  Every request sent
-        on this connection gets exactly one terminal response here —
-        including ones the server sheds.
-        """
-        fh = self._require_open()
-        ids = []
-        for req in requests:
-            rid = req.get("id") or f"c{next(self._ids)}"
-            ids.append(rid)
-            fh.write(encode_request(
-                rid, req["kind"], tenant=req.get("tenant", "default"),
-                params=req.get("params") or {},
-                deadline_s=req.get("deadline_s"),
-            ).encode())
-        fh.flush()
-        out: dict[str, dict] = {}
-        want = set(ids)
-        while want:
-            line = fh.readline()
-            if not line:
-                raise ServiceError(
-                    f"connection closed with {len(want)} responses "
-                    f"outstanding"
-                )
-            response = parse_response(line)
-            rid = response.get("id")
-            if rid in want:
-                want.discard(rid)
-            out[rid] = response
-        return out
-
-
 class AsyncServiceClient:
     """Asyncio JSONL client: one connection, pipelined requests."""
 
@@ -160,12 +38,17 @@ class AsyncServiceClient:
 
     async def connect(self) -> "AsyncServiceClient":
         kind, where = parse_address(self.address)
-        if kind == "unix":
-            self._reader, self._writer = \
-                await asyncio.open_unix_connection(str(where))
-        else:
-            self._reader, self._writer = \
-                await asyncio.open_connection(kind, int(where))
+        try:
+            if kind == "unix":
+                self._reader, self._writer = \
+                    await asyncio.open_unix_connection(str(where))
+            else:
+                self._reader, self._writer = \
+                    await asyncio.open_connection(kind, int(where))
+        except OSError as exc:
+            raise ServiceError(
+                f"cannot connect to {self.address}: {exc}"
+            ) from exc
         return self
 
     async def close(self) -> None:

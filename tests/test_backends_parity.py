@@ -276,13 +276,19 @@ def test_masked_bit_nan_survives_record_replay(design, tmp_path, fmt):
 
 
 def test_generic_characterization_masks_nan_bits(design, tmp_path):
-    """The generic backend route maps NaN thresholds onto the
-    existing masked-bit (None) convention of characterization."""
-    from repro.core.characterization import characterize_bit_thresholds
+    """Characterization maps a driver's NaN thresholds onto the
+    masked-bit (None) convention."""
+    from repro.core.characterization import (
+        characterize_array,
+        characterize_bit_thresholds,
+    )
 
     ths = characterize_bit_thresholds(design, 3, backend=_MaskedDriver())
     assert ths[1] is None
     assert all(v is not None for k, v in enumerate(ths) if k != 1)
+    char = characterize_array(design, (3,), backend=_MaskedDriver())[3]
+    assert char.masked_bits == (2,)
+    assert char.thresholds == tuple(v for v in ths if v is not None)
 
 
 # -- registry & resolution -----------------------------------------------------

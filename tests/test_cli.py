@@ -47,6 +47,22 @@ def test_fig5(capsys):
     assert "0.827" in out and "1.053" in out
 
 
+def test_fig5_sim_flag_spells_backend_sim(capsys):
+    code, flag = run(capsys, "fig5", "--codes", "3", "--sim")
+    assert code == 0
+    code, spec = run(capsys, "fig5", "--codes", "3", "--backend", "sim")
+    assert code == 0
+    assert flag == spec
+    assert "delay code 011" in flag
+
+
+def test_sim_flag_and_backend_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig5", "--sim", "--backend", "kernel"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_fig9(capsys):
     code, out = run(capsys, "fig9")
     assert code == 0

@@ -106,7 +106,9 @@ def test_word_histogram_rejects_unknown_method(design):
 # -- s-curve parity ------------------------------------------------------------
 
 
-def test_measure_s_curve_kernel_equals_scalar(design):
+def test_measure_s_curve_kernel_equals_scalar(design, monkeypatch):
+    # The default sweep is the kernel driver, whatever the env names.
+    monkeypatch.setenv("REPRO_BACKEND", "no-such-driver")
     for bit in (1, design.n_bits // 2, design.n_bits):
         kernel = measure_s_curve(design, bit, noise_rms=5e-3,
                                  n_per_level=80, seed=11,

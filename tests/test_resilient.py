@@ -475,17 +475,18 @@ def test_cli_unusable_cache_dir_degrades(tmp_path, capsys):
 
 def test_characterize_partial_masks_failed_bits(design, monkeypatch):
     """A bit whose bisection keeps failing is masked, not fatal."""
-    import repro.core.characterization as ch
+    import repro.backends.sim as sim
+    from repro.core.characterization import characterize_array
 
-    real = ch._sim_threshold_task
+    real = sim._sim_threshold_task
 
     def sabotaged(spec):
         if spec[1] == 3:  # bit 3 always fails
             raise ValueError("injected bisection failure")
         return real(spec)
 
-    monkeypatch.setattr(ch, "_sim_threshold_task", sabotaged)
-    out = ch.characterize_array(
+    monkeypatch.setattr(sim, "_sim_threshold_task", sabotaged)
+    out = characterize_array(
         design, codes=(3,), method="sim", tol=5e-3,
         failure_policy="partial",
     )

@@ -293,12 +293,12 @@ def test_fig4_bench_warm_cache_runs_zero_bisections(
 
     # Prove "zero bisection simulations", not just "mostly cached":
     # detonate if any threshold bisection actually runs.
-    import repro.core.characterization as chz
+    import repro.backends.sim as sim
 
     def _boom(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("bisection ran on a warm cache")
 
-    monkeypatch.setattr(chz, "_sim_threshold_task", _boom)
+    monkeypatch.setattr(sim, "_sim_threshold_task", _boom)
     warm_cache = ResultCache(tmp_path)
     warm = run_fig4_sim(design, cache=warm_cache)
     assert warm == cold

@@ -11,7 +11,9 @@ the ServiceError that shed it, and the server shuts down cleanly.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import sys
 
 import pytest
 
@@ -380,3 +382,31 @@ def test_serve_stats_out_includes_cache_lifetime(tmp_path):
     # reading the same root sees the same lifetime totals.
     probe = ResultCache(cache_root)
     assert probe.lifetime_stats() == lifetime
+
+
+def test_cli_submit_round_trip_against_live_server(tmp_path):
+    """``repro submit`` drives one request through a live server."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    async def _run():
+        server = JobServer(backend="kernel", config=SMALL)
+        address = await server.start(
+            unix_path=str(tmp_path / "svc.sock"))
+        try:
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro", "submit", address,
+                "ping", env=env, stdout=asyncio.subprocess.PIPE,
+                stderr=asyncio.subprocess.PIPE)
+            out, err = await asyncio.wait_for(proc.communicate(), 60)
+        finally:
+            await server.stop()
+        return proc.returncode, out.decode(), err.decode()
+
+    code, out, err = asyncio.run(_run())
+    assert code == 0, err
+    response = json.loads(out)
+    assert response["status"] == "ok"
+    assert response["result"] == {"pong": True}
