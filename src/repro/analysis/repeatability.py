@@ -213,11 +213,10 @@ def measure_s_curve(design: "SensorDesign", bit: int, *,
             f"unknown method {method!r} (use 'kernel'/'scalar')"
         )
     if method == "kernel":
-        from repro.backends import resolve_backend
-        from repro.backends.kernel import KernelBackend
+        from repro.backends import KernelBackend, resolve_backend
 
-        bk = KernelBackend() if backend is None \
-            else resolve_backend(backend)
+        bk = resolve_backend(KernelBackend() if backend is None
+                             else backend)
         bk.configure(design)
         levels, probs = bk.s_curve(
             bit, code=code, noise_rms=noise_rms,

@@ -84,16 +84,16 @@ def _sim_backend(**settings: float) -> SensorBackend:
     return SimBackend(**settings)
 
 
-#: Spec name -> driver factory (the stock drivers' modules load on
-#: their first construction).
-_REGISTRY: dict[str, Callable[..., SensorBackend]] = {
+#: Spec name -> zero-argument driver factory (the stock drivers'
+#: modules load on their first construction).
+_REGISTRY: dict[str, Callable[[], SensorBackend]] = {
     "kernel": _kernel_backend,
     "sim": _sim_backend,
 }
 
 
 def register(name: str,
-             factory: Callable[..., SensorBackend]) -> None:
+             factory: Callable[[], SensorBackend]) -> None:
     """Add a driver factory under a spec name (e.g. a hardware rig).
 
     Re-registering a name replaces its factory — deliberate, so test
@@ -112,13 +112,11 @@ def available() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get(spec: str, **settings: float) -> SensorBackend:
+def get(spec: str) -> SensorBackend:
     """Resolve a spec string to a fresh driver instance.
 
     ``"replay:<path>"`` loads the trace file at ``<path>``; any other
-    spec must name a registered factory, which is called with
-    ``settings`` as keywords (of the stock factories only ``"sim"``
-    takes any: ``tol`` and ``bracket_pad``).
+    spec must name a registered factory.
     """
     if spec.startswith("replay:"):
         path = spec[len("replay:"):]
@@ -135,21 +133,30 @@ def get(spec: str, **settings: float) -> SensorBackend:
             f"unknown backend {spec!r}; registered: "
             f"{', '.join(available())} (or 'replay:<path>')"
         )
-    return factory(**settings)
+    return factory()
 
 
 def resolve_backend(backend: "SensorBackend | str | None",
-                    *, default: str = "kernel") -> SensorBackend:
+                    *, default: str = "kernel",
+                    sim_settings: dict[str, float] | None = None
+                    ) -> SensorBackend:
     """The entry-point resolution rule.
 
     Precedence: an explicit instance > an explicit spec string > the
     ``REPRO_BACKEND`` environment variable > ``default``.
+
+    ``sim_settings`` (``tol``, ``bracket_pad``) build the stock sim
+    driver when the rule lands on the ``"sim"`` spec; an instance
+    keeps its own settings, and a factory registered over ``"sim"``
+    is called without them.
     """
     from repro.backends.base import SensorBackend
 
     if isinstance(backend, SensorBackend):
         return backend
-    if backend is not None:
-        return get(backend)
-    return get(os.environ.get(BACKEND_ENV) or default)
-
+    spec = backend if backend is not None \
+        else os.environ.get(BACKEND_ENV) or default
+    if spec == "sim" and sim_settings \
+            and _REGISTRY.get("sim") is _sim_backend:
+        return _sim_backend(**sim_settings)
+    return get(spec)

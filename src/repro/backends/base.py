@@ -31,7 +31,8 @@ data-acquisition test infrastructure):
    :mod:`repro.core.characterization` entry points call.  The defaults
    call :meth:`~SensorBackend.bit_thresholds` once per code or probe;
    the kernel driver solves a cap sweep at once and the sim driver
-   runs a sweep as one pool batch.
+   runs a sweep as one pool batch, unless a subclass overrides
+   :meth:`~SensorBackend.bit_thresholds` (then the defaults run).
 5. :meth:`~SensorBackend.capabilities` advertises the optional
    surfaces (:meth:`~SensorBackend.lot_thresholds`,
    :meth:`~SensorBackend.s_curve`); entry points check before calling.

@@ -82,6 +82,10 @@ class KernelBackend(SensorBackend):
                    *, code: int, tech: "Technology | None" = None,
                    **sweep: Any) -> list[float]:
         """Every probe's threshold from one vectorized delay-law solve."""
+        if type(self).bit_thresholds is not KernelBackend.bit_thresholds:
+            # A subclass that re-measures thresholds sweeps through them.
+            return super().sweep_caps(design, caps, code=code, tech=tech,
+                                      **sweep)
         inv = design.sensor_inverter(tech)
         d_pin = design.sense_flipflop(tech).pin("D").cap
         solved = solve_supply_for_delay(

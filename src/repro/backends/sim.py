@@ -76,6 +76,16 @@ def _sim_threshold_task(spec: tuple) -> float:
     return 0.5 * (lo + hi)
 
 
+def _masked_threshold_task(spec: tuple) -> float:
+    """:func:`_sim_threshold_task` with an unbracketable stage masked
+    as NaN (the protocol's degraded-bit marker); any other error
+    propagates."""
+    try:
+        return _sim_threshold_task(spec)
+    except CharacterizationError:
+        return math.nan
+
+
 def _sim_bracket(est: float, rail: SenseRail,
                  bracket_pad: float) -> tuple[float, float]:
     """Bisection bracket around one analytic estimate."""
@@ -147,15 +157,8 @@ class SimBackend(SensorBackend):
     def bit_thresholds(self, code: int, *,
                        bits: Iterable[int] | None = None
                        ) -> tuple[float, ...]:
-        sel = tuple(range(1, self.design.n_bits + 1)) if bits is None \
-            else tuple(int(b) for b in bits)
-        estimates = self._kernel().bit_thresholds(code, bits=sel)
-        # Degraded mode: a stage whose bisection fails is masked.
-        return tuple(self._bisect(
-            [(self.design, b, code, est)
-             for b, est in zip(sel, estimates)],
-            failure_policy="partial",
-        ))
+        return tuple(self._bisect(self._rows(code, bits),
+                                  task=_masked_threshold_task))
 
     def sweep_codes(self, design: "SensorDesign", codes: Sequence[int],
                     *, rail: SenseRail | None = None,
@@ -163,13 +166,12 @@ class SimBackend(SensorBackend):
                     **sweep: Any) -> list[tuple[float, ...]]:
         """Every (code, bit) bisection of the sweep as one task batch,
         so a process pool keeps every worker busy across codes."""
+        if type(self).bit_thresholds is not SimBackend.bit_thresholds:
+            return super().sweep_codes(design, codes, rail=rail,
+                                       tech=tech, **sweep)
         self.configure(design, rail=rail, tech=tech)
-        kernel = self._kernel()
-        rows = [(design, b, code, est)
-                for code in codes
-                for b, est in enumerate(kernel.bit_thresholds(code),
-                                        start=1)]
-        flat = self._bisect(rows, **sweep)
+        flat = self._bisect([row for code in codes
+                             for row in self._rows(code)], **sweep)
         n = design.n_bits
         return [tuple(flat[k * n:(k + 1) * n])
                 for k in range(len(codes))]
@@ -182,6 +184,9 @@ class SimBackend(SensorBackend):
         Each probe's ``load_caps`` land in its fingerprint, so every
         cap gets its own cache identity.
         """
+        if type(self).bit_thresholds is not SimBackend.bit_thresholds:
+            return super().sweep_caps(design, caps, code=code, tech=tech,
+                                      **sweep)
         self.configure(design, rail=SenseRail.VDD, tech=tech)
         estimates = KernelBackend().sweep_caps(design, caps, code=code,
                                                tech=tech)
@@ -190,15 +195,20 @@ class SimBackend(SensorBackend):
             for cap, est in zip(caps, estimates)
         ], **sweep)
 
-    def _kernel(self) -> KernelBackend:
-        """The kernel driver on this configuration: its thresholds
-        centre the bisection brackets."""
+    def _rows(self, code: int, bits: Iterable[int] | None = None
+              ) -> list[tuple["SensorDesign", int, int, float]]:
+        """``(design, bit, code, estimate)`` bisection rows of one code,
+        each centred on the kernel driver's threshold."""
         kernel = KernelBackend()
         kernel.configure(self.design, rail=self.rail, tech=self.tech)
-        return kernel
+        sel = range(1, self.design.n_bits + 1) if bits is None \
+            else [int(b) for b in bits]
+        return [(self.design, b, code, est) for b, est in
+                zip(sel, kernel.bit_thresholds(code, bits=sel))]
 
     def _bisect(self, rows: Sequence[tuple["SensorDesign", int, int,
                                            float]], *,
+                task: Any = None,
                 workers: int | None = None,
                 cache: Any = None,
                 retries: int = 0,
@@ -209,6 +219,8 @@ class SimBackend(SensorBackend):
 
         Under ``failure_policy="partial"`` a row that exhausts its
         retry budget reports NaN instead of aborting the sweep.
+        ``task`` replaces :func:`_sim_threshold_task` for an uncached
+        batch (the cache keys name that task's result).
         """
         from repro.runtime.cache import (
             design_fingerprint,
@@ -234,9 +246,9 @@ class SimBackend(SensorBackend):
                 keys.append(task_key("sim-threshold", fp, bit, code,
                                      rail, tech_fp, v_lo, v_hi, tol))
         outcome = resilient_cached_map(
-            _sim_threshold_task, specs, keys=keys or None, cache=store,
-            workers=workers, retries=retries, task_timeout=task_timeout,
-            failure_policy=failure_policy,
+            task or _sim_threshold_task, specs, keys=keys or None,
+            cache=store, workers=workers, retries=retries,
+            task_timeout=task_timeout, failure_policy=failure_policy,
         )
         return [math.nan if t is None else t for t in outcome.results]
 

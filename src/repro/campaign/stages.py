@@ -125,14 +125,11 @@ class StageContext:
             self._fingerprint = design_fingerprint(self.design)
         return self._fingerprint
 
-    def sweep_backend(self, tol: float) -> Any:
+    def sweep_backend(self) -> Any:
         """A characterization stage's driver: the shared one, except
-        that a stock ``sim`` campaign bisects at the stage's ``tol``."""
-        if self.spec.backend != "sim":
-            return self.backend
-        from repro.backends import get
-
-        return get("sim", tol=tol)
+        that a ``sim`` campaign passes the spec, so the entry point
+        builds the driver at the stage's ``tol``."""
+        return "sim" if self.spec.backend == "sim" else self.backend
 
     def tech_token(self) -> str:
         return self.tech.name if self.tech is not None else "nominal"
@@ -167,8 +164,8 @@ def _run_characterization(ctx: StageContext,
     codes = [int(c) for c in stage.param("codes", [1, 2, 3])]
     tol = float(stage.param("tol", 0.5e-3))
     chars = characterize_array(
-        ctx.design, codes, tech=ctx.tech, backend=ctx.sweep_backend(tol),
-        cache=ctx.cache, **ctx.runtime_kwargs(),
+        ctx.design, codes, tech=ctx.tech, backend=ctx.sweep_backend(),
+        tol=tol, cache=ctx.cache, **ctx.runtime_kwargs(),
     )
     payload = {
         "codes": codes,
@@ -195,7 +192,7 @@ def _run_cap_sweep(ctx: StageContext,
     tol = float(stage.param("tol", 0.5e-3))
     rows = threshold_vs_capacitance(
         ctx.design, [c * 1e-15 for c in caps_ff], code=code,
-        tech=ctx.tech, backend=ctx.sweep_backend(tol),
+        tech=ctx.tech, backend=ctx.sweep_backend(), tol=tol,
         cache=ctx.cache, **ctx.runtime_kwargs(),
     )
     payload = {

@@ -32,7 +32,6 @@ from any driver reports as ``None``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
@@ -58,7 +57,7 @@ def _driver(backend: "SensorBackend | str | None",
             method: Method | None, *, tol: float,
             bracket_pad: float = 0.15) -> "SensorBackend":
     """The one driver an entry point measures through."""
-    from repro.backends import BACKEND_ENV, SensorBackend, get
+    from repro.backends import resolve_backend
 
     if method is not None:
         if backend is not None:
@@ -68,13 +67,8 @@ def _driver(backend: "SensorBackend | str | None",
         if method not in _METHOD_SPECS:
             raise ConfigurationError(f"unknown method {method!r}")
         backend = _METHOD_SPECS[method]
-    if isinstance(backend, SensorBackend):
-        return backend
-    spec = backend if backend is not None \
-        else os.environ.get(BACKEND_ENV) or "kernel"
-    if spec == "sim":
-        return get(spec, tol=tol, bracket_pad=bracket_pad)
-    return get(spec)
+    return resolve_backend(backend, sim_settings={
+        "tol": tol, "bracket_pad": bracket_pad})
 
 
 def _masked(values: Sequence[float]) -> tuple[float | None, ...]:

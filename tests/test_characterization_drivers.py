@@ -10,8 +10,12 @@ ops.  The masked-rung case is
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
+from repro import backends
 from repro.backends import (
     BACKEND_ENV,
     KernelBackend,
@@ -26,6 +30,7 @@ from repro.core.characterization import (
     threshold_vs_capacitance,
 )
 from repro.core.sensor import SenseRail
+from repro.errors import CharacterizationError
 from repro.kernels.dtype import KERNEL_DTYPE_ENV
 from repro.runtime import ResultCache
 
@@ -67,6 +72,22 @@ def test_kernel_spellings_agree_bit_for_bit(design, monkeypatch, dtype):
     }
     for name, driver in spellings.items():
         assert _sweeps(design, **driver) == unset, name
+
+
+@pytest.mark.parametrize("code", range(8))
+def test_float32_gnd_ladder_keeps_its_float64_flip(design, monkeypatch,
+                                                   code):
+    """Under float32 the GND rungs are the VDD rungs flipped in the
+    solve dtype; every paper-design rung lies within a factor of two
+    of ``vdd_nominal``, where the flip is exact (Sterbenz), so the
+    ladder equals the float64 flip of the same rungs bit for bit."""
+    monkeypatch.setenv(KERNEL_DTYPE_ENV, "float32")
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    vdd = characterize_bit_thresholds(design, code)
+    gnd = characterize_bit_thresholds(design, code, rail=SenseRail.GND)
+    nominal = design.tech.vdd_nominal
+    assert _hex(gnd) == _hex(nominal - np.asarray(vdd, dtype=np.float32))
+    assert _hex(gnd) == _hex(nominal - v for v in vdd)
 
 
 # -- sim spellings -------------------------------------------------------------
@@ -127,3 +148,62 @@ def test_sim_campaign_stage_bisects_at_its_tol(design, tmp_path):
     expect = characterize_bit_thresholds(design, 3, backend="sim",
                                          tol=2e-2)
     assert payload["per_code"]["3"]["thresholds"] == list(expect)
+
+
+def test_registered_sim_factory_is_called_without_settings(design,
+                                                            monkeypatch):
+    """A zero-argument factory registered over ``"sim"`` serves every
+    sim spelling; the entry point's ``tol`` is not forced on it."""
+    monkeypatch.setitem(backends._REGISTRY, "sim", KernelBackend)
+    kernel = characterize_bit_thresholds(design, 3, backend="kernel")
+    assert characterize_bit_thresholds(design, 3, backend="sim",
+                                       tol=2e-2) == kernel
+    assert characterize_bit_thresholds(design, 3, method="sim") == kernel
+
+
+# -- driver error contract ---------------------------------------------------
+
+@pytest.mark.parametrize("error, masked", [
+    (CharacterizationError("does not bracket"), True),
+    (TypeError("harness bug"), False),
+])
+def test_sim_bit_thresholds_masks_only_unbracketable_stages(
+        design, monkeypatch, error, masked):
+    """An unbracketable stage is a NaN bit; any other failure of the
+    bisection propagates."""
+    from repro.backends import sim
+
+    def fail(spec):
+        raise error
+
+    monkeypatch.setattr(sim, "_sim_threshold_task", fail)
+    driver = SimBackend()
+    driver.configure(design)
+    if masked:
+        (value,) = driver.bit_thresholds(3, bits=(1,))
+        assert math.isnan(value)
+    else:
+        with pytest.raises(type(error), match="harness bug"):
+            driver.bit_thresholds(3, bits=(1,))
+
+
+class _Bit1Masked:
+    """Reports bit 1 as masked (NaN) over a fixed ladder — no solve,
+    no event run."""
+
+    def bit_thresholds(self, code, *, bits=None):
+        sel = range(1, self.design.n_bits + 1) if bits is None else bits
+        return tuple(math.nan if b == 1 else 0.8 + 0.01 * b for b in sel)
+
+
+@pytest.mark.parametrize("base", [KernelBackend, SimBackend])
+def test_subclass_bit_thresholds_reach_every_entry_point(design, base):
+    """A stock driver's subclass that overrides ``bit_thresholds`` is
+    swept through it, not through the stock batch ops."""
+    driver = type("Masked", (_Bit1Masked, base), {})()
+    assert characterize_bit_thresholds(design, 3, backend=driver)[0] \
+        is None
+    array = characterize_array(design, (2, 3), backend=driver)
+    assert [ch.masked_bits for ch in array.values()] == [(1,), (1,)]
+    assert threshold_vs_capacitance(design, CAPS, backend=driver) \
+        == [(cap, None) for cap in CAPS]
