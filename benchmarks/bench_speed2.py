@@ -1,9 +1,8 @@
 """Raw-speed tier 2 perf regression: the tracked BENCH_speed2.json.
 
-Three workloads, each comparing the tier-1 kernel path against the
-tier-2 fast path (fused solve+decode kernels and the zero-copy
-shared-memory pool broadcast), each gated on agreement *before* any
-timing claim:
+Two workloads, each comparing the tier-1 kernel path against the
+tier-2 fused solve+decode kernels, each gated on agreement *before*
+any timing claim:
 
 * ``yield_fused`` — the yield-study lot reduction.  Tier 1: the
   per-die :func:`benchmarks._oracles.score_from_thresholds`
@@ -21,12 +20,6 @@ timing claim:
   the cube and through the full fused-vs-unfused s-curve kernels with
   their seeded draws — plus a minimum draw-to-root distance (in ulps)
   so the compare-form equivalence cannot be decided by float rounding.
-* ``pool_broadcast`` — a guardband sweep over one large draw cube
-  through the process pool.  Tier 1: every task payload pickles the
-  cube (the pre-shm transport).  Tier 2: the cube rides shared memory
-  via ``map_tasks(..., shared=...)``; payloads carry only the
-  per-task guardband delta.  Gates: pickled, shm-pool and shm-serial
-  results all bit-identical.
 
 A ``float32`` section measures the opt-in reduced-precision path
 against the float64 oracle: max threshold error (asserted within
@@ -53,12 +46,6 @@ from benchmarks._perf import time_workload, write_bench_json
 from benchmarks._report import emit, fmt_rows
 
 CODES = tuple(range(8))
-
-#: Guardband deltas swept by the pool_broadcast workload, volts.  Every
-#: task re-evaluates the whole cube at thresholds + delta, so each one
-#: needs the full broadcast arrays.
-GUARDBANDS_V = tuple(d * 1e-3 for d in
-                     (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6))
 
 
 # -- yield_fused ----------------------------------------------------------
@@ -150,54 +137,6 @@ def _check_mc(design, seeds, cube, code, *, n_per_level) -> float:
     return float(min_ulps)
 
 
-# -- pool_broadcast (module-level tasks: must pickle) ---------------------
-
-
-def _sweep_task_pickled(payload):
-    """Tier-1 transport: the payload carries the whole cube."""
-    from repro.kernels import trip_counts_from_thresholds
-
-    cube, thresholds, delta = payload
-    return trip_counts_from_thresholds(cube, thresholds + delta)
-
-
-def _sweep_task_shm(delta, arrays):
-    """Tier-2 transport: the cube rides shared memory."""
-    from repro.kernels import trip_counts_from_thresholds
-
-    return trip_counts_from_thresholds(arrays["cube"],
-                                       arrays["thresholds"] + delta)
-
-
-def _sweep_tier1(cube, thresholds, workers):
-    from repro.runtime import map_tasks
-
-    return map_tasks(
-        _sweep_task_pickled,
-        [(cube, thresholds, d) for d in GUARDBANDS_V],
-        workers=workers,
-    )
-
-
-def _sweep_tier2(cube, thresholds, workers):
-    from repro.runtime import map_tasks
-
-    return map_tasks(
-        _sweep_task_shm, list(GUARDBANDS_V), workers=workers,
-        shared={"cube": cube, "thresholds": thresholds},
-    )
-
-
-def _check_sweep(cube, thresholds, workers) -> None:
-    """Pickled, shm-pool and shm-serial results all bit-identical."""
-    tier1 = _sweep_tier1(cube, thresholds, workers)
-    tier2 = _sweep_tier2(cube, thresholds, workers)
-    serial = _sweep_tier2(cube, thresholds, 1)
-    for a, b, c in zip(tier1, tier2, serial):
-        assert np.array_equal(a, b), "shm pool diverged from pickling"
-        assert np.array_equal(b, c), "shm pool diverged from serial"
-
-
 # -- float32 error bounds -------------------------------------------------
 
 
@@ -253,7 +192,7 @@ def _float32_section(design, seeds, *, n_per_level) -> dict[str, Any]:
 
 
 def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
-        dtype: str = "float64", workers: int = 2) -> dict[str, Any]:
+        dtype: str = "float64") -> dict[str, Any]:
     """Gate agreement, then time tier 1 vs tier 2; persist the report."""
     from repro.analysis.yield_study import lot_threshold_grid
     from repro.core.calibration import paper_design
@@ -265,7 +204,6 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
         spawn_bit_seeds,
         threshold_grid,
     )
-    from repro.runtime.shm import shm_counters, shm_enabled
 
     design = paper_design()
     code = 3
@@ -296,13 +234,11 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
     _check_yield(grid, supplies, ladder)
     min_ulps = _check_mc(design, seeds, cube, code,
                          n_per_level=n_per_level)
-    _check_sweep(cube, thresholds, workers)
     f32 = _float32_section(design, seeds, n_per_level=n_per_level)
 
     mc_kw = _mc_kwargs(design, seeds, n_per_level=n_per_level)
     yield_points = n_dies * (design.n_bits + n_supplies)
     mc_points = cube.size
-    sweep_points = len(GUARDBANDS_V) * cube.size
     workloads = {
         "yield_fused": {
             "tier1": time_workload(
@@ -329,19 +265,6 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
                      "trials": n_trials},
             "min_draw_to_root_ulps": min_ulps,
         },
-        "pool_broadcast": {
-            "tier1": time_workload(
-                lambda: _sweep_tier1(cube, thresholds, workers),
-                repeats=repeats, points=sweep_points,
-            ),
-            "tier2": time_workload(
-                lambda: _sweep_tier2(cube, thresholds, workers),
-                repeats=repeats, points=sweep_points,
-            ),
-            "grid": {"tasks": len(GUARDBANDS_V), "workers": workers,
-                     "cube_mb": round(cube.nbytes / 1e6, 1)},
-            "shm_enabled": shm_enabled(),
-        },
     }
     for w in workloads.values():
         w["speedup"] = w["tier1"]["best_s"] / w["tier2"]["best_s"]
@@ -365,7 +288,6 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
         "dtype": dtype,
         "workloads": workloads,
         "float32": f32,
-        "shm": shm_counters(),
     }
     write_bench_json("BENCH_speed2", payload, out=out)
 
@@ -386,13 +308,11 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="raw-speed tier 2: fused kernels + shm pools"
+        description="raw-speed tier 2: fused kernels"
     )
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized grids (fast)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="pool size for the broadcast workload")
     parser.add_argument("--dtype", choices=("float64", "float32"),
                         default="float64",
                         help="additionally time the fused workloads "
@@ -406,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
                              "to (e.g. the tracked repo-root copy)")
     args = parser.parse_args(argv)
     payload = run(smoke=args.smoke, repeats=args.repeats, out=args.out,
-                  dtype=args.dtype, workers=args.workers)
+                  dtype=args.dtype)
     if args.assert_speedup is not None:
         slow = {
             name: w["speedup"]

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.backends.base import (
     BackendCapabilities,
-    BackendMeasure,
     SensorBackend,
 )
 from repro.backends.trace import (
@@ -130,12 +129,6 @@ class RecordingBackend(SensorBackend):
             "words": [tuple(int(b) for b in row) for row in words],
         })
         return words
-
-    def measure(self, level: float, *, code: int) -> BackendMeasure:
-        # Routes through measure_batch (the base implementation), so a
-        # scalar measure records as a one-level batch — replay serves
-        # it back the same way.
-        return super().measure(level, code=code)
 
     def bit_thresholds(self, code: int, *,
                        bits: Iterable[int] | None = None

@@ -22,12 +22,11 @@ the two pieces every such sweep needs:
   ``raise``/``partial`` failure policy with structured
   :class:`~repro.runtime.resilient.TaskFailure` records;
 * :mod:`repro.runtime.chaos` — seeded fault injection (worker kills,
-  cache corruption, stuck tasks) for end-to-end resilience drills;
-* :mod:`repro.runtime.shm` — zero-copy broadcast of large read-only
-  arrays (draw cubes, threshold grids, LTI operators) to pool workers
-  via POSIX shared memory: registered once per pool, handles instead
-  of pickles, with a per-array inline fallback that keeps the bytes
-  identical when shared memory is unavailable (``$REPRO_SHM=0``).
+  cache corruption, stuck tasks) for end-to-end resilience drills.
+
+Task payloads reach pool workers by ordinary pickling, the one
+transport: nothing the sweeps broadcast is large enough to pay for a
+second one.
 
 Everything above it (``repro.core.characterization``,
 ``repro.analysis.yield_study``, ``repro.analysis.repeatability``, the
@@ -52,10 +51,6 @@ _EXPORTS = {
     "PhaseProfiler": ".profiling",
     "PhaseStat": ".profiling",
     "ResultCache": ".cache",
-    "SHM_ENV": ".shm",
-    "SharedArrayHandle": ".shm",
-    "SharedArrayPool": ".shm",
-    "SharedTask": ".shm",
     "phase": ".profiling",
     "RetryPolicy": ".resilient",
     "RunStats": ".resilient",
@@ -69,10 +64,7 @@ _EXPORTS = {
     "resilient_cached_map": ".resilient",
     "resilient_map": ".resilient",
     "resolve_cache": ".cache",
-    "resolve_handle": ".shm",
     "resolve_workers": ".executor",
-    "shm_counters": ".shm",
-    "shm_enabled": ".shm",
     "stable_hash": ".cache",
     "task_key": ".cache",
 }

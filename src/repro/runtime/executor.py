@@ -27,7 +27,7 @@ each define a tiny ``_*_task`` adapter next to the physics they call.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.runtime.resilient import resilient_cached_map, resilient_map
@@ -75,8 +75,7 @@ def map_tasks(fn: Callable[..., Any], items: Iterable[Any], *,
               workers: int | None = None,
               retries: int = 0,
               task_timeout: float | None = None,
-              failure_policy: str = "raise",
-              shared: "Mapping[str, Any] | None" = None) -> Any:
+              failure_policy: str = "raise") -> Any:
     """``[fn(x) for x in items]``, optionally across a process pool.
 
     Results are returned in input order regardless of completion
@@ -99,11 +98,6 @@ def map_tasks(fn: Callable[..., Any], items: Iterable[Any], *,
             :class:`~repro.runtime.resilient.MapOutcome` whose failed
             slots are ``None`` plus structured ``TaskFailure``
             records).
-        shared: Named read-only arrays broadcast to every task via
-            shared memory (:mod:`repro.runtime.shm`); tasks are then
-            called as ``fn(payload, arrays)``.  Bit-identical to
-            passing the arrays inside each payload — just without the
-            per-task pickling.
 
     Returns:
         ``list`` of results under ``failure_policy="raise"``;
@@ -113,7 +107,6 @@ def map_tasks(fn: Callable[..., Any], items: Iterable[Any], *,
     outcome = resilient_map(
         fn, items, workers=workers, retries=retries,
         task_timeout=task_timeout, failure_policy=failure_policy,
-        shared=shared,
     )
     return outcome if failure_policy == "partial" else outcome.results
 
@@ -124,8 +117,7 @@ def cached_map(fn: Callable[..., Any], items: Iterable[Any], *,
                workers: int | None = None,
                retries: int = 0,
                task_timeout: float | None = None,
-               failure_policy: str = "raise",
-               shared: "Mapping[str, Any] | None" = None) -> Any:
+               failure_policy: str = "raise") -> Any:
     """:func:`map_tasks` with per-item on-disk memoization.
 
     Every memoized sweep in the repo reduces to this: look each item's
@@ -151,13 +143,10 @@ def cached_map(fn: Callable[..., Any], items: Iterable[Any], *,
         retries / task_timeout / failure_policy: Resilience options as
             in :func:`map_tasks` — under ``"partial"`` the return
             value is a :class:`~repro.runtime.resilient.MapOutcome`.
-        shared: Broadcast arrays as in :func:`map_tasks` (tasks become
-            ``fn(payload, arrays)``); cache keys must already account
-            for the shared contents.
     """
     outcome = resilient_cached_map(
         fn, items, keys=keys, cache=cache, workers=workers,
         retries=retries, task_timeout=task_timeout,
-        failure_policy=failure_policy, shared=shared,
+        failure_policy=failure_policy,
     )
     return outcome if failure_policy == "partial" else outcome.results

@@ -16,8 +16,6 @@ Phase names are dotted, coarse and stable — they are a CLI contract:
 * ``kernel.mc``     — batched Monte-Carlo draw-cube evaluation;
 * ``kernel.transient`` — exact-ZOH PDN transient stepping;
 * ``runtime.pool``  — process-pool dispatch (workers > 1);
-* ``runtime.shm``   — shared-memory block creation/copy-in for
-  zero-copy broadcast arrays (see :mod:`repro.runtime.shm`);
 * ``cache.get`` / ``cache.put`` — result-cache disk IO.
 
 The CLI's ``--profile`` flag enables the profiler around a sweep and

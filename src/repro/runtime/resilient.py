@@ -58,7 +58,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Literal, Mapping, Sequence
+from typing import Any, Callable, Iterable, Literal, Sequence
 
 from repro.errors import (
     ConfigurationError,
@@ -458,45 +458,13 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 # -- public API ----------------------------------------------------------------
 
 
-def _drive(run: _Run, fn: Callable[..., Any],
-           shared: "Mapping[str, Any] | None") -> None:
-    """Drive one prepared :class:`_Run`, optionally with broadcast
-    arrays riding shared memory (pool) or read-only views (serial).
-
-    The shared blocks outlive pool rebuilds — they belong to the
-    parent, so after a worker crash the rebuilt pool's fresh workers
-    simply re-attach by name and the campaign continues.
-    """
-    use_pool = run.workers > 1 or run.policy.task_timeout is not None
-    if shared is None:
-        if use_pool:
-            with PROFILER.measure("runtime.pool"):
-                run.run_pool()
-        else:
-            run.run_serial()
-        return
-    from repro.runtime.shm import SharedArrayPool, SharedTask, \
-        _readonly_views
-
-    if use_pool:
-        with SharedArrayPool(shared) as shm_pool:
-            run.fn = SharedTask(fn, shm_pool.handles)
-            shm_pool.charge_tasks(len(run.slots))
-            with PROFILER.measure("runtime.pool"):
-                run.run_pool()
-    else:
-        arrays = _readonly_views(shared)
-        run.fn = lambda item: fn(item, arrays)
-        run.run_serial()
-
-
 def _execute(fn: Callable[..., Any], payloads: Sequence[Any],
              pending: Iterable[int], *, workers: int | None,
              retries: int, task_timeout: float | None,
              policy: RetryPolicy | None, failure_policy: FailurePolicy,
              keys: Sequence[str] | None, results: list,
-             on_ok: Callable[[int, Any], None], stats: RunStats,
-             shared: "Mapping[str, Any] | None") -> MapOutcome:
+             on_ok: Callable[[int, Any], None], stats: RunStats
+             ) -> MapOutcome:
     """Run ``fn`` over ``payloads[i]`` for each ``i`` in ``pending``;
     ``on_ok`` receives each completed ``(i, value)``."""
     from repro.runtime.executor import resolve_workers
@@ -509,7 +477,11 @@ def _execute(fn: Callable[..., Any], payloads: Sequence[Any],
                policy=policy, failure_policy=failure_policy, keys=keys,
                on_ok=on_ok, stats=stats)
     if slots:
-        _drive(run, fn, shared)
+        if run.workers > 1 or policy.task_timeout is not None:
+            with PROFILER.measure("runtime.pool"):
+                run.run_pool()
+        else:
+            run.run_serial()
     return MapOutcome(results=results, failures=tuple(run.failures),
                       stats=stats)
 
@@ -534,8 +506,7 @@ def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
                   policy: RetryPolicy | None = None,
                   failure_policy: FailurePolicy = "raise",
                   keys: Sequence[str] | None = None,
-                  on_result: Callable[[int, Any], None] | None = None,
-                  shared: "Mapping[str, Any] | None" = None
+                  on_result: Callable[[int, Any], None] | None = None
                   ) -> MapOutcome:
     """Fault-tolerant ``[fn(x) for x in items]``.
 
@@ -553,9 +524,6 @@ def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
         keys: Optional per-task labels copied into failure records.
         on_result: Streaming callback ``(index, value)`` invoked the
             moment each task completes (completion order).
-        shared: Named read-only broadcast arrays (see
-            :mod:`repro.runtime.shm`); tasks are then called as
-            ``fn(payload, arrays)``.
 
     Returns:
         A :class:`MapOutcome` — under ``"raise"`` its ``failures`` is
@@ -574,7 +542,7 @@ def resilient_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
                     retries=retries, task_timeout=task_timeout,
                     policy=policy, failure_policy=failure_policy,
                     keys=keys, results=results, on_ok=on_ok,
-                    stats=RunStats(tasks=len(payloads)), shared=shared)
+                    stats=RunStats(tasks=len(payloads)))
 
 
 def resilient_cached_map(fn: Callable[[Any], Any],
@@ -585,8 +553,7 @@ def resilient_cached_map(fn: Callable[[Any], Any],
                          retries: int = 0,
                          task_timeout: float | None = None,
                          policy: RetryPolicy | None = None,
-                         failure_policy: FailurePolicy = "raise",
-                         shared: "Mapping[str, Any] | None" = None
+                         failure_policy: FailurePolicy = "raise"
                          ) -> MapOutcome:
     """:func:`resilient_map` with per-item memoization and
     *incremental* persistence: every completed task is ``store.put()``
@@ -607,8 +574,7 @@ def resilient_cached_map(fn: Callable[[Any], Any],
         return resilient_map(fn, payloads, workers=workers,
                              retries=retries, task_timeout=task_timeout,
                              policy=policy,
-                             failure_policy=failure_policy, keys=keys,
-                             shared=shared)
+                             failure_policy=failure_policy, keys=keys)
     _check_batch(failure_policy, keys, payloads)
     results: list[Any] = [None] * len(payloads)
     pending: list[int] = []
@@ -629,5 +595,4 @@ def resilient_cached_map(fn: Callable[[Any], Any],
     return _execute(fn, payloads, pending, workers=workers,
                     retries=retries, task_timeout=task_timeout,
                     policy=policy, failure_policy=failure_policy,
-                    keys=keys, results=results, on_ok=on_ok, stats=stats,
-                    shared=shared)
+                    keys=keys, results=results, on_ok=on_ok, stats=stats)

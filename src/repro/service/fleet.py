@@ -235,16 +235,10 @@ def execute_job(payload: dict,
     config = FleetConfig(**fleet_cfg) if fleet_cfg else FleetConfig()
 
     if kind == "measure":
-        shm_handle = payload.get("levels_shm")
-        if shm_handle is not None:
-            from repro.runtime.shm import resolve_handle
-
-            levels = [float(v) for v in resolve_handle(shm_handle)]
-        else:
-            levels = params.get("levels")
-            if levels is None:
-                levels = [_require(params, "level")]
-            levels = [float(v) for v in levels]
+        levels = params.get("levels")
+        if levels is None:
+            levels = [_require(params, "level")]
+        levels = [float(v) for v in levels]
         if not levels or len(levels) > MAX_LEVELS:
             raise ConfigurationError(
                 f"measure wants 1..{MAX_LEVELS} levels, got {len(levels)}"

@@ -46,8 +46,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.backends import SensorBackend, resolve_backend
 from repro.backends.faults import InjectedFaultError
 from repro.core.calibration import paper_design
@@ -65,7 +63,6 @@ from repro.errors import (
 from repro.runtime.cache import ResultCache, design_fingerprint, \
     resolve_cache, stable_hash, task_key
 from repro.runtime.resilient import RetryPolicy
-from repro.runtime.shm import SharedArrayPool, shm_counters, shm_enabled
 from repro.service.admission import AdmissionQueue, TokenBucket
 from repro.service.breaker import CircuitBreaker
 from repro.service.fleet import Fleet, FleetConfig, execute_job
@@ -207,12 +204,6 @@ class JobServer:
             cache/degraded immediately ("deadline is near").
         coalesce: Max compatible ``measure`` requests batched into a
             single backend call (1 disables coalescing).
-        shm_min_levels: Pool mode only — a (possibly coalesced)
-            ``measure`` level list at least this long is broadcast to
-            the shard pool through shared memory
-            (:mod:`repro.runtime.shm`) instead of riding the pickled
-            payload; retries and rebuilt pools re-attach the same
-            block.  Honors the ``$REPRO_SHM`` kill switch.
     """
 
     def __init__(self, *, config: FleetConfig | None = None,
@@ -230,7 +221,6 @@ class JobServer:
                  default_deadline_s: float | None = None,
                  degrade_margin_s: float = 0.0,
                  coalesce: int = 8,
-                 shm_min_levels: int = 64,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if executor not in ("inline", "pool"):
             raise ConfigurationError(
@@ -243,8 +233,6 @@ class JobServer:
             )
         if coalesce < 1:
             raise ConfigurationError("coalesce must be at least 1")
-        if shm_min_levels < 1:
-            raise ConfigurationError("shm_min_levels must be at least 1")
         if (tenant_rate is None) != (tenant_burst is None) \
                 and tenant_burst is None:
             tenant_burst = tenant_rate
@@ -259,7 +247,6 @@ class JobServer:
         self.default_deadline_s = default_deadline_s
         self.degrade_margin_s = float(degrade_margin_s)
         self.coalesce = int(coalesce)
-        self.shm_min_levels = int(shm_min_levels)
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self._clock = clock
@@ -294,7 +281,6 @@ class JobServer:
             "protocol_errors": 0,
             "full": 0, "cached": 0, "degraded": 0, "rejected": 0,
             "errors": 0, "retries": 0, "crashes": 0, "deadline": 0,
-            "shm_levels": 0,
         }
 
     def _make_backend(self, backend) -> SensorBackend:
@@ -626,32 +612,6 @@ class JobServer:
                      if j.deadline is not None]
         deadline = min(deadlines) if deadlines else None
 
-        # Large (coalesced) level lists broadcast to the pool via
-        # shared memory: the pickled payload carries a tiny handle and
-        # every retry / rebuilt-pool attempt re-attaches the same
-        # block.  The block outlives all attempts (unlinked in the
-        # finally below), so a crashed worker can never strand it.
-        shm_pool: SharedArrayPool | None = None
-        levels = payload["params"].get("levels")
-        if (self.executor == "pool" and levels is not None
-                and len(levels) >= self.shm_min_levels
-                and shm_enabled()):
-            shm_pool = SharedArrayPool(
-                {"levels": np.asarray(levels, dtype=float)}
-            )
-            shm_pool.__enter__()
-            handle = shm_pool.handles["levels"]
-            if handle.name is not None:
-                payload = dict(payload)
-                payload["params"] = dict(payload["params"])
-                del payload["params"]["levels"]
-                payload["levels_shm"] = handle
-                shm_pool.charge_tasks(1 + self.retry_policy.retries)
-                self.counters["shm_levels"] += 1
-            else:  # allocation fell back inline: nothing to broadcast
-                shm_pool.__exit__(None, None, None)
-                shm_pool = None
-
         try:
             result = await self._execute(shard, pending, payload,
                                          deadline)
@@ -674,9 +634,6 @@ class JobServer:
                 else:
                     await self._respond(job, status="error", error=exc)
             return
-        finally:
-            if shm_pool is not None:
-                shm_pool.__exit__(None, None, None)
         shard.breaker.record_success()
         for job, body in zip(pending,
                              self._split_batch(pending, result)):
@@ -839,5 +796,4 @@ class JobServer:
             },
             "cache": (self.cache.stats() if self.cache is not None
                       else None),
-            "shm": shm_counters(),
         }

@@ -228,6 +228,26 @@ def test_replay_rewind_allows_second_pass(design, tmp_path):
     assert np.array_equal(live, first) and np.array_equal(first, second)
 
 
+def test_scalar_measure_records_one_level_batch(design, tmp_path):
+    """A scalar ``measure`` goes through ``measure_batch``, so the
+    recorder writes it as a one-level batch that replays exactly."""
+    path = tmp_path / "m.jsonl"
+    rec = RecordingBackend(KernelBackend(), path)
+    rec.configure(design)
+    live = rec.measure(0.95, code=3)
+    rec.close()
+    ops = [r for r in rec.trace.records if r["op"] != "configure"]
+    assert len(ops) == 1
+    assert ops[0]["op"] == "measure_batch"
+    assert ops[0]["levels"] == [0.95]
+    assert ops[0]["words"] == [live.word]
+
+    replay = ReplayBackend(path)
+    replay.configure(design)
+    assert replay.measure(0.95, code=3) == live
+    assert replay.exhausted
+
+
 def test_recording_is_transparent(design, tmp_path):
     """Recording never changes what it records: results, fingerprint
     and capabilities all pass through the inner driver unchanged."""

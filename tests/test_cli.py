@@ -63,6 +63,19 @@ def test_sim_flag_and_backend_are_exclusive(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_backends_fingerprints(capsys):
+    code, out = run(capsys, "backends", "--fingerprints")
+    assert code == 0
+    lines = out.splitlines()
+    fingerprints = {}
+    for name in ("kernel", "sim"):
+        row = next(i for i, l in enumerate(lines)
+                   if l.split()[:1] == [name])
+        assert lines[row + 1].split()[0] == "fingerprint"
+        fingerprints[name] = lines[row + 1].split()[1]
+    assert fingerprints["kernel"] != fingerprints["sim"]
+
+
 def test_fig9(capsys):
     code, out = run(capsys, "fig9")
     assert code == 0

@@ -17,7 +17,8 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_cli(*argv, timeout=60):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,

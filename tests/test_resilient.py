@@ -18,7 +18,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -78,11 +77,6 @@ def _race_put(arg):
     for _ in range(rounds):
         cache.put(key, value)
     return value
-
-
-def _scaled_row(payload, arrays):
-    """A float result that depends on both broadcast arrays."""
-    return np.sin(arrays["mat"][payload] * arrays["scale"]).sum()
 
 
 # -- RetryPolicy -------------------------------------------------------------
@@ -224,33 +218,6 @@ def test_crash_without_retries_raises_worker_crash_error(tmp_path):
 
 
 # -- one engine behind map_tasks / cached_map ---------------------------------
-
-def _shared_arrays():
-    rng = np.random.default_rng(2009)
-    return {"mat": rng.normal(size=(9, 33)), "scale": rng.normal(size=33)}
-
-
-def _as_bytes(results):
-    return [np.float64(r).tobytes() for r in results]
-
-
-@pytest.mark.parametrize("entry", ["map_tasks", "cached_map"])
-def test_pool_bytes_equal_serial_with_shared_arrays(tmp_path, entry):
-    shared = _shared_arrays()
-    keys = [task_key("shared-row", i) for i in range(9)]
-
-    def run(workers, cache_dir):
-        if entry == "map_tasks":
-            return map_tasks(_scaled_row, range(9), workers=workers,
-                             shared=shared)
-        return cached_map(_scaled_row, range(9), keys=keys,
-                          workers=workers, shared=shared,
-                          cache=ResultCache(tmp_path / cache_dir))
-
-    serial = _as_bytes(run(1, "serial"))
-    assert _as_bytes(run(2, "pooled")) == serial
-    assert _as_bytes(run(2, "pooled")) == serial  # warm for cached_map
-
 
 def test_map_tasks_worker_kill_raises_worker_crash_error(tmp_path):
     killer = KillOnceTask(fn=_square, kill_indices=frozenset({1}),

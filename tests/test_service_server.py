@@ -339,8 +339,9 @@ def test_serve_stats_out_includes_cache_lifetime(tmp_path):
     sock = tmp_path / "svc.sock"
     stats_path = tmp_path / "stats.json"
     cache_root = tmp_path / "cache"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(repo / "src"), os.environ.get("PYTHONPATH"))
+        if p))
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--unix", str(sock), "--backend", "sim",
