@@ -21,12 +21,6 @@ any timing claim:
   their seeded draws — plus a minimum draw-to-root distance (in ulps)
   so the compare-form equivalence cannot be decided by float rounding.
 
-A ``float32`` section measures the opt-in reduced-precision path
-against the float64 oracle: max threshold error (asserted within
-:data:`~repro.kernels.dtype.FLOAT32_THRESHOLD_BOUND_V`) and the
-decoded-word agreement wherever the supply margin exceeds that bound.
-``--dtype float32`` additionally times the fused workloads in float32.
-
 Run standalone (``python -m benchmarks.bench_speed2`` or ``repro bench
 speed2``) with ``--smoke`` for CI-sized grids and ``--assert-speedup
 N`` to enforce a floor; the JSON lands in
@@ -137,70 +131,17 @@ def _check_mc(design, seeds, cube, code, *, n_per_level) -> float:
     return float(min_ulps)
 
 
-# -- float32 error bounds -------------------------------------------------
-
-
-def _float32_section(design, seeds, *, n_per_level) -> dict[str, Any]:
-    """Measured float32-vs-float64 error, gated on the documented bound."""
-    from repro.kernels import (
-        FLOAT32_THRESHOLD_BOUND_V,
-        decode_counts,
-        s_curve_trip_probability_fused,
-        threshold_grid,
-    )
-
-    t64 = threshold_grid(design, CODES)
-    t32 = threshold_grid(design, CODES, dtype=np.float32)
-    max_err = float(np.max(np.abs(t32.astype(np.float64) - t64)))
-    assert max_err <= FLOAT32_THRESHOLD_BOUND_V, (
-        f"float32 threshold error {max_err:.3e} V exceeds the "
-        f"documented bound {FLOAT32_THRESHOLD_BOUND_V:.0e} V"
-    )
-
-    # Decoded words must agree wherever the supply margin exceeds the
-    # bound: probe a dense grid, mask the near-threshold band, compare.
-    v = np.linspace(float(t64.min()) - 0.05,
-                    float(t64.max()) + 0.05, 4001)
-    mismatches = 0
-    checked = 0
-    for j in range(len(CODES)):
-        k64, _ = decode_counts(v, t64[:, j])
-        k32, _ = decode_counts(v.astype(np.float32), t32[:, j],
-                               dtype=np.float32)
-        margin = np.min(np.abs(v[:, None] - t64[None, :, j]), axis=1)
-        safe = margin > FLOAT32_THRESHOLD_BOUND_V
-        checked += int(np.sum(safe))
-        mismatches += int(np.sum(k64[safe] != k32[safe]))
-    assert mismatches == 0, (
-        f"{mismatches} decoded words differ outside the float32 band"
-    )
-
-    kw = _mc_kwargs(design, seeds, n_per_level=n_per_level)
-    _, p64 = s_curve_trip_probability_fused(design, **kw)
-    _, p32 = s_curve_trip_probability_fused(design, dtype=np.float32,
-                                            **kw)
-    return {
-        "threshold_bound_v": FLOAT32_THRESHOLD_BOUND_V,
-        "max_threshold_err_v": max_err,
-        "decode_points_checked": checked,
-        "decode_mismatches_outside_band": mismatches,
-        "max_prob_delta": float(np.max(np.abs(p64 - p32))),
-    }
-
-
 # -- the bench ------------------------------------------------------------
 
 
-def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
-        dtype: str = "float64") -> dict[str, Any]:
+def run(*, smoke: bool = False, repeats: int = 3,
+        out: str | None = None) -> dict[str, Any]:
     """Gate agreement, then time tier 1 vs tier 2; persist the report."""
     from repro.analysis.yield_study import lot_threshold_grid
     from repro.core.calibration import paper_design
     from repro.devices.variation import VariationModel
     from repro.kernels import (
         KERNEL_LAYOUT_VERSION,
-        s_curve_trip_probability_fused,
-        score_lot_grids,
         spawn_bit_seeds,
         threshold_grid,
     )
@@ -234,9 +175,7 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
     _check_yield(grid, supplies, ladder)
     min_ulps = _check_mc(design, seeds, cube, code,
                          n_per_level=n_per_level)
-    f32 = _float32_section(design, seeds, n_per_level=n_per_level)
 
-    mc_kw = _mc_kwargs(design, seeds, n_per_level=n_per_level)
     yield_points = n_dies * (design.n_bits + n_supplies)
     mc_points = cube.size
     workloads = {
@@ -269,25 +208,11 @@ def run(*, smoke: bool = False, repeats: int = 3, out: str | None = None,
     for w in workloads.values():
         w["speedup"] = w["tier1"]["best_s"] / w["tier2"]["best_s"]
 
-    if dtype == "float32":
-        workloads["yield_fused"]["tier2_float32"] = time_workload(
-            lambda: score_lot_grids(grid, supplies, ladder,
-                                    dtype=np.float32),
-            repeats=repeats, points=yield_points,
-        )
-        workloads["mc_fused"]["tier2_float32"] = time_workload(
-            lambda: s_curve_trip_probability_fused(
-                design, dtype=np.float32, **mc_kw),
-            repeats=repeats, points=mc_points,
-        )
-
     payload: dict[str, Any] = {
         "bench": "speed2",
         "kernel_layout": KERNEL_LAYOUT_VERSION,
         "mode": "smoke" if smoke else "full",
-        "dtype": dtype,
         "workloads": workloads,
-        "float32": f32,
     }
     write_bench_json("BENCH_speed2", payload, out=out)
 
@@ -313,10 +238,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized grids (fast)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--dtype", choices=("float64", "float32"),
-                        default="float64",
-                        help="additionally time the fused workloads "
-                             "in float32 (parity gates stay float64)")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         metavar="X",
                         help="fail unless every workload beats X times "
@@ -325,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="extra path to mirror BENCH_speed2.json "
                              "to (e.g. the tracked repo-root copy)")
     args = parser.parse_args(argv)
-    payload = run(smoke=args.smoke, repeats=args.repeats, out=args.out,
-                  dtype=args.dtype)
+    payload = run(smoke=args.smoke, repeats=args.repeats, out=args.out)
     if args.assert_speedup is not None:
         slow = {
             name: w["speedup"]
@@ -347,9 +267,6 @@ def test_speed2_bench(benchmark, design):
     payload = benchmark.pedantic(
         lambda: run(smoke=True, repeats=1), rounds=1, iterations=1,
     )
-    f32 = payload["float32"]
-    assert f32["max_threshold_err_v"] <= f32["threshold_bound_v"]
-    assert f32["decode_mismatches_outside_band"] == 0
     assert payload["workloads"]["mc_fused"]["min_draw_to_root_ulps"] > 4
     for name, w in payload["workloads"].items():
         assert w["speedup"] > 0, name  # parity gated; timing informative

@@ -29,7 +29,6 @@ from repro.kernels import (
     ladders,
     solve_supply_for_delay,
 )
-from repro.kernels.dtype import resolve_dtype
 from repro.kernels.montecarlo import (
     MC_SEED_SCHEME,
     effective_supply_grid,
@@ -73,10 +72,8 @@ class KernelBackend(SensorBackend):
         rungs = ladders.ladder(self.design, code, self.tech, bits=bits)
         if self.rail is SenseRail.VDD:
             return rungs
-        # The GND flip runs in the solve's dtype, as on the grid.
-        grid = self.design.tech.vdd_nominal - np.asarray(
-            rungs, dtype=resolve_dtype())
-        return tuple(float(v) for v in grid)
+        vdd = self.design.tech.vdd_nominal
+        return tuple(vdd - v for v in rungs)
 
     def sweep_caps(self, design: "SensorDesign", caps: Sequence[float],
                    *, code: int, tech: "Technology | None" = None,

@@ -86,13 +86,13 @@ def _masked_threshold_task(spec: tuple) -> float:
         return math.nan
 
 
-def _sim_bracket(est: float, rail: SenseRail,
-                 bracket_pad: float) -> tuple[float, float]:
-    """Bisection bracket around one analytic estimate."""
-    v_lo = est - bracket_pad
-    if rail is SenseRail.GND:
-        v_lo = max(v_lo, 0.0)
-    return v_lo, est + bracket_pad
+def _sim_bracket(est: float, bracket_pad: float) -> tuple[float, float]:
+    """Bisection bracket around one analytic estimate.
+
+    Not clamped: a GND estimate may be a negative bounce (the stage
+    already fails at a quiet ground), and the bracket must hold it.
+    """
+    return est - bracket_pad, est + bracket_pad
 
 
 class SimBackend(SensorBackend):
@@ -236,7 +236,7 @@ class SimBackend(SensorBackend):
         design_fps: dict[int, str] = {}
         specs, keys = [], []
         for design, bit, code, est in rows:
-            v_lo, v_hi = _sim_bracket(float(est), rail, self.bracket_pad)
+            v_lo, v_hi = _sim_bracket(float(est), self.bracket_pad)
             specs.append((design, bit, code, rail, tech, v_lo, v_hi, tol))
             if store is not None:
                 fp = design_fps.get(id(design))

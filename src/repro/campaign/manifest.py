@@ -59,8 +59,11 @@ def provenance_info() -> dict[str, str]:
     from repro.backends.base import BACKEND_PROTOCOL
     from repro.backends.trace import TRACE_SCHEMA
     from repro.campaign.schema import CAMPAIGN_SCHEMA
-    from repro.kernels import KERNEL_BACKEND_TOKEN, KERNEL_LAYOUT_VERSION
-    from repro.kernels.dtype import dtype_token
+    from repro.kernels import (
+        KERNEL_BACKEND_TOKEN,
+        KERNEL_DTYPE_TOKEN,
+        KERNEL_LAYOUT_VERSION,
+    )
     from repro.kernels.montecarlo import MC_SEED_SCHEME
     from repro.runtime.cache import CACHE_SCHEMA
     from repro.service.protocol import SERVICE_PROTOCOL
@@ -78,7 +81,7 @@ def provenance_info() -> dict[str, str]:
         "numba": numba_version,
         "kernel_layout": KERNEL_LAYOUT_VERSION,
         "kernel_backend": KERNEL_BACKEND_TOKEN,
-        "kernel_dtype": dtype_token(),
+        "kernel_dtype": KERNEL_DTYPE_TOKEN,
         "mc_seed_scheme": MC_SEED_SCHEME,
         "trace_schema": TRACE_SCHEMA,
         "service_protocol": SERVICE_PROTOCOL,

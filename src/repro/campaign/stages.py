@@ -31,6 +31,8 @@ Registered kinds:
                       injection)
 ``yield_study``       mismatch-lot scoring via
                       :func:`~repro.analysis.yield_study.run_yield_study`
+                      on the resolved driver: one ``lot_thresholds``
+                      op scores the whole lot (no pool, no cache)
 ``s_curve``           stochastic trip-probability ladders through the
                       driver's ``s_curve`` capability
 ``telemetry``         synthetic droop trace through the streaming
@@ -217,7 +219,7 @@ def _run_threshold_sweep(ctx: StageContext,
     specs, keys = [], []
     for b in bits:
         est = ctx.design.bit_threshold(b, code)
-        v_lo, v_hi = _sim_bracket(est, rail, 0.15)
+        v_lo, v_hi = _sim_bracket(est, 0.15)
         specs.append((ctx.design, b, code, rail, ctx.tech,
                       v_lo, v_hi, tol))
         keys.append(task_key("campaign-threshold", ctx.fingerprint(),
@@ -282,8 +284,7 @@ def _run_yield_study(ctx: StageContext,
     seed = int(stage.param("seed", ctx.spec.seed))
     report = run_yield_study(
         ctx.design, VariationModel(), n_dies=n_dies, code=code,
-        seed=seed, backend=ctx.backend, cache=ctx.cache,
-        **ctx.runtime_kwargs(),
+        seed=seed, backend=ctx.backend,
     )
     payload = {
         "n_dies": report.n_dies,

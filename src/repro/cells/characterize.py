@@ -83,10 +83,6 @@ class NLDMTable:
     def supply_range(self) -> tuple[float, float]:
         return self.supplies[0], self.supplies[-1]
 
-    @property
-    def load_range(self) -> tuple[float, float]:
-        return self.loads[0], self.loads[-1]
-
 
 def characterize_cell(cell: Cell, *, input_pin: str = "A",
                       output_pin: str = "Y",
@@ -135,16 +131,3 @@ def characterize_cell(cell: Cell, *, input_pin: str = "A",
         arc=(input_pin, output_pin),
     )
 
-
-def characterize_library_arc_set(cells: list[Cell], **kwargs
-                                 ) -> dict[str, NLDMTable]:
-    """Characterize the first input->output arc of each cell.
-
-    Returns a map from cell name to its table.  Cells whose first pins
-    are not named ``A``/``Y`` can be characterized individually with
-    :func:`characterize_cell`.
-    """
-    tables: dict[str, NLDMTable] = {}
-    for cell in cells:
-        tables[cell.name] = characterize_cell(cell, **kwargs)
-    return tables

@@ -39,12 +39,10 @@ from repro.errors import ConfigurationError
 
 
 def voltage_factor_array(v: float | np.ndarray, vth: float | np.ndarray,
-                         alpha: float | np.ndarray,
-                         dtype: "np.dtype | type" = np.float64
-                         ) -> np.ndarray:
-    """The delay law's one array core: ``g(V)`` elementwise at ``dtype``.
+                         alpha: float | np.ndarray) -> np.ndarray:
+    """The delay law's one array core: ``g(V)`` elementwise in float64.
 
-    ``v``, ``vth`` and ``alpha`` are cast to ``dtype`` and broadcast.
+    ``v``, ``vth`` and ``alpha`` are cast to float64 and broadcast.
     Supplies at or below ``vth`` map to ``+inf`` (the gate never
     switches) and a ``+inf`` supply maps to NaN, both silently: the
     division-by-zero and invalid-value flags are ignored, overflow still
@@ -53,9 +51,9 @@ def voltage_factor_array(v: float | np.ndarray, vth: float | np.ndarray,
     so the scalar model and the kernels share one sequence of
     operations.
     """
-    v = np.asarray(v, dtype=dtype)
-    vth = np.asarray(vth, dtype=dtype)
-    alpha = np.asarray(alpha, dtype=dtype)
+    v = np.asarray(v, dtype=float)
+    vth = np.asarray(vth, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
     headroom = v - vth
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(headroom > 0.0,

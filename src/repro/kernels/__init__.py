@@ -46,7 +46,7 @@ masking).  This is what lets the process-pool path (one die per task)
 and the batched serial path share results exactly.
 
 Fixed ladders are memoized in exactly one place, the ladder store
-(:mod:`repro.kernels.ladders`): each (design, code, corner, dtype)
+(:mod:`repro.kernels.ladders`): each (design, code, corner)
 ladder, per-die lot row and scalar oracle threshold is solved once
 per process and returned as the solver's own floats.  The kernels
 above and the scalar oracles stay plain solvers that solve on every
@@ -58,11 +58,10 @@ contract:
 * **fused solve+decode** (:mod:`repro.kernels.fused`) — supply levels
   to counts/bounds/scores without materializing the intermediate word
   and diff grids (yield scoring, telemetry decode, MC trip counting
-  collapsed to a threshold compare);
-* **precision policy** (:mod:`repro.kernels.dtype`) — ``dtype=`` on
-  kernel entry points and ``$REPRO_KERNEL_DTYPE``; float64 (default)
-  keeps every bit-identity guarantee, float32 is opt-in with a
-  measured, documented threshold error bound.
+  collapsed to a threshold compare).
+
+Every kernel computes in IEEE-754 float64, the precision of the scalar
+oracles; there is no precision option.
 """
 
 from repro._lazy import lazy_exports
@@ -73,11 +72,9 @@ from repro._lazy import lazy_exports
 #: different kernel generation (or by the scalar-only era, which had no
 #: version token at all).  v2: stochastic/transient tier (Monte-Carlo
 #: draw cubes under ``MC_SEED_SCHEME``, exact-ZOH PDN stepping).
-#: v3: raw-speed tier (fused solve+decode kernels, dtype policy) —
-#: fingerprints additionally fold
-#: :func:`~repro.kernels.dtype.dtype_token` and
-#: :data:`KERNEL_BACKEND_TOKEN`, so float32 artifacts can never alias
-#: float64 ones.
+#: v3: raw-speed tier (fused solve+decode kernels) — fingerprints
+#: additionally fold :data:`KERNEL_DTYPE_TOKEN` and
+#: :data:`KERNEL_BACKEND_TOKEN`.
 KERNEL_LAYOUT_VERSION = "kernels/v3"
 
 #: The kernel backend's token in cache fingerprints and run manifests.
@@ -85,18 +82,20 @@ KERNEL_LAYOUT_VERSION = "kernels/v3"
 #: every existing cache key and golden manifest keeps its bytes.
 KERNEL_BACKEND_TOKEN = "backend/numpy"
 
+#: The kernel precision's token in cache fingerprints and run
+#: manifests.  The kernels compute in float64 only; the token stays so
+#: that every existing cache key and golden manifest keeps its bytes.
+KERNEL_DTYPE_TOKEN = "dtype/float64"
+
 #: Public name -> defining module, imported on first access.
 _EXPORTS = {
-    "FLOAT32_THRESHOLD_BOUND_V": ".dtype",
     "KERNEL_BACKEND_TOKEN": ".",
-    "KERNEL_DTYPE_ENV": ".dtype",
+    "KERNEL_DTYPE_TOKEN": ".",
     "KERNEL_LAYOUT_VERSION": ".",
     "MC_SEED_SCHEME": ".montecarlo",
     "decode_counts": ".fused",
     "decode_word_rows": ".fused",
-    "dtype_token": ".dtype",
     "fused_decode": ".fused",
-    "resolve_dtype": ".dtype",
     "s_curve_trip_probability_fused": ".fused",
     "score_lot_grids": ".fused",
     "trip_counts_from_thresholds": ".fused",

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.devices.mosfet import voltage_factor_array
 from repro.errors import ConfigurationError
-from repro.kernels.dtype import resolve_dtype
 from repro.runtime.profiling import phase
 
 #: Iteration ceiling for the safeguarded solver.  Pure bisection needs
@@ -41,18 +40,15 @@ _MAX_ITER = 128
 
 
 def voltage_factor_grid(v: np.ndarray, vth: np.ndarray | float,
-                        alpha: np.ndarray | float, *,
-                        dtype: "np.dtype | str | None" = None
-                        ) -> np.ndarray:
+                        alpha: np.ndarray | float) -> np.ndarray:
     """``g(V) = V / (V - vth)**alpha`` elementwise; ``+inf`` at or
     below threshold (the gate never switches).
 
-    ``dtype`` selects the working precision (see
-    :mod:`repro.kernels.dtype`).  The arithmetic is the scalar model's
-    own array core, :func:`repro.devices.mosfet.voltage_factor_array`,
-    so the float64 default is bit-identical to the scalar path.
+    The arithmetic is the scalar model's own array core,
+    :func:`repro.devices.mosfet.voltage_factor_array`, so the result is
+    bit-identical to the scalar path.
     """
-    return voltage_factor_array(v, vth, alpha, resolve_dtype(dtype))
+    return voltage_factor_array(v, vth, alpha)
 
 
 def delay_grid(v: np.ndarray, c_total: np.ndarray | float,
@@ -111,9 +107,7 @@ def _iterate_numpy(lo: np.ndarray, hi: np.ndarray, vth_f: np.ndarray,
 def solve_voltage_factor(g_target: np.ndarray,
                          vth: np.ndarray | float,
                          alpha: np.ndarray | float, *,
-                         v_hi: float = 3.0,
-                         dtype: "np.dtype | str | None" = None
-                         ) -> np.ndarray:
+                         v_hi: float = 3.0) -> np.ndarray:
     """Invert ``g(V) = g_target`` elementwise for ``V`` in (vth, v_hi].
 
     ``g`` is strictly decreasing on ``(vth, inf)`` for ``alpha >= 1``,
@@ -130,10 +124,6 @@ def solve_voltage_factor(g_target: np.ndarray,
         alpha: Velocity-saturation index(es), broadcastable.
         v_hi: Upper bracket, volts (the scalar oracle's
             ``supply_for_delay(..., v_hi=...)``).
-        dtype: Working precision (see :mod:`repro.kernels.dtype`);
-            float32 solves carry the documented
-            :data:`~repro.kernels.dtype.FLOAT32_THRESHOLD_BOUND_V`
-            error bound against the float64 oracle.
 
     Returns:
         Array of solved supplies, shaped like the broadcast inputs.
@@ -144,16 +134,15 @@ def solve_voltage_factor(g_target: np.ndarray,
             iteration ceiling is hit (never observed; defensive).
     """
     with phase("kernel.solve"):
-        dt = resolve_dtype(dtype)
         g_target, vth, alpha = np.broadcast_arrays(
-            np.asarray(g_target, dtype=dt),
-            np.asarray(vth, dtype=dt),
-            np.asarray(alpha, dtype=dt),
+            np.asarray(g_target, dtype=float),
+            np.asarray(vth, dtype=float),
+            np.asarray(alpha, dtype=float),
         )
         shape = g_target.shape
-        g_t = g_target.ravel().astype(dt)
-        vth_f = np.ascontiguousarray(vth, dtype=dt).ravel()
-        alpha_f = np.ascontiguousarray(alpha, dtype=dt).ravel()
+        g_t = g_target.ravel()
+        vth_f = np.ascontiguousarray(vth, dtype=float).ravel()
+        alpha_f = np.ascontiguousarray(alpha, dtype=float).ravel()
 
         if not np.all(np.isfinite(g_t) & (g_t > 0.0)):
             raise ConfigurationError(
@@ -169,18 +158,18 @@ def solve_voltage_factor(g_target: np.ndarray,
         # Root exists iff g(lo) > G (slow enough near the pole; always
         # true for a finite target since g -> inf) and g(hi) < G (the
         # gate beats the target at full rail).
-        g_hi = voltage_factor_grid(hi, vth_f, alpha_f, dtype=dt)
+        g_hi = voltage_factor_grid(hi, vth_f, alpha_f)
         if np.any(g_hi >= g_t):
             raise ConfigurationError(
                 "gate is slower than the target even at the upper "
                 "bracket; no threshold exists in the interval"
             )
-        g_lo = voltage_factor_grid(lo, vth_f, alpha_f, dtype=dt)
+        g_lo = voltage_factor_grid(lo, vth_f, alpha_f)
         bad = g_lo <= g_t
         if np.any(bad):
             # Mirror the scalar nudge: step off the pole and re-check.
             lo = np.where(bad, vth_f + 1e-4, lo)
-            g_lo = voltage_factor_grid(lo, vth_f, alpha_f, dtype=dt)
+            g_lo = voltage_factor_grid(lo, vth_f, alpha_f)
             if np.any(g_lo < g_t):
                 raise ConfigurationError(
                     "gate is faster than the target even at the lower "
@@ -196,9 +185,7 @@ def solve_supply_for_delay(target_delay: np.ndarray,
                            k_eff: np.ndarray | float,
                            vth: np.ndarray | float,
                            alpha: np.ndarray | float, *,
-                           v_hi: float = 3.0,
-                           dtype: "np.dtype | str | None" = None
-                           ) -> np.ndarray:
+                           v_hi: float = 3.0) -> np.ndarray:
     """Invert the full delay law elementwise: the supply ``V*`` at
     which ``k_eff * c_total * g(V*)`` equals ``target_delay``.
 
@@ -216,5 +203,4 @@ def solve_supply_for_delay(target_delay: np.ndarray,
     if np.any(c_total <= 0.0):
         raise ConfigurationError("total load must be positive")
     g_target = target_delay / (np.asarray(k_eff, dtype=float) * c_total)
-    return solve_voltage_factor(g_target, vth, alpha, v_hi=v_hi,
-                                dtype=dtype)
+    return solve_voltage_factor(g_target, vth, alpha, v_hi=v_hi)

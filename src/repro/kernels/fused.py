@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DecodingError
-from repro.kernels.dtype import resolve_dtype
 from repro.kernels.montecarlo import _bits_array, s_curve_levels
 from repro.kernels.thermometer import midpoint_grid
 from repro.kernels.thresholds import threshold_grid
@@ -50,8 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.devices.technology import Technology
 
 
-def decode_counts(v: np.ndarray, thresholds: np.ndarray, *,
-                  dtype: "np.dtype | str | None" = None
+def decode_counts(v: np.ndarray, thresholds: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Ones counts and bubble flags in one pass over the compare cube.
 
@@ -69,8 +67,6 @@ def decode_counts(v: np.ndarray, thresholds: np.ndarray, *,
             (``v[..., None] > thresholds``, the ``word_grid`` layout).
         thresholds: Per-stage thresholds, bit 1 first, *physical*
             order (need not be sorted).
-        dtype: Compare precision; float64 default is bit-identical to
-            the unfused chain.
 
     Returns:
         ``(counts, bubbled)`` — int64 counts and bool flags, both
@@ -78,9 +74,8 @@ def decode_counts(v: np.ndarray, thresholds: np.ndarray, *,
         ``thresholds``.
     """
     with phase("kernel.decode"):
-        dt = resolve_dtype(dtype)
-        v = np.asarray(v, dtype=dt)
-        t = np.asarray(thresholds, dtype=dt)
+        v = np.asarray(v, dtype=float)
+        t = np.asarray(thresholds, dtype=float)
         passing = v[..., None] > t
         counts = np.sum(passing, axis=-1, dtype=np.int64)
         if passing.shape[-1] < 2:
@@ -91,8 +86,7 @@ def decode_counts(v: np.ndarray, thresholds: np.ndarray, *,
         return counts, bubbled
 
 
-def fused_decode(ladder: Sequence[float], v: np.ndarray, *,
-                 dtype: "np.dtype | str | None" = None
+def fused_decode(ladder: Sequence[float], v: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                             np.ndarray]:
     """Supplies -> (counts, lo, hi, mid) for an ascending ladder.
@@ -112,13 +106,12 @@ def fused_decode(ladder: Sequence[float], v: np.ndarray, *,
         DecodingError: empty or non-ascending ladder.
     """
     with phase("kernel.decode"):
-        dt = resolve_dtype(dtype)
-        lad = np.asarray(ladder, dtype=dt)
+        lad = np.asarray(ladder, dtype=float)
         if lad.ndim != 1 or lad.size < 1:
             raise DecodingError("ladder must be a non-empty 1-D array")
         if lad.size > 1 and not np.all(np.diff(lad) > 0):
             raise DecodingError("thresholds must be strictly ascending")
-        v = np.asarray(v, dtype=dt)
+        v = np.asarray(v, dtype=float)
         k = np.searchsorted(lad, v, side="left").astype(np.int64)
         padded = np.concatenate(([-np.inf], lad, [np.inf]))
         lo = padded[k]
@@ -127,8 +120,7 @@ def fused_decode(ladder: Sequence[float], v: np.ndarray, *,
         return k, lo, hi, mid
 
 
-def decode_word_rows(ladder: Sequence[float], words: np.ndarray, *,
-                     dtype: "np.dtype | str | None" = None
+def decode_word_rows(ladder: Sequence[float], words: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Word rows -> (counts, lo, hi) against an ascending ladder.
 
@@ -144,8 +136,7 @@ def decode_word_rows(ladder: Sequence[float], words: np.ndarray, *,
         DecodingError: empty/non-ascending ladder or width mismatch.
     """
     with phase("kernel.decode"):
-        dt = resolve_dtype(dtype)
-        lad = np.asarray(ladder, dtype=dt)
+        lad = np.asarray(ladder, dtype=float)
         if lad.ndim != 1 or lad.size < 1:
             raise DecodingError("ladder must be a non-empty 1-D array")
         if lad.size > 1 and not np.all(np.diff(lad) > 0):
@@ -163,8 +154,7 @@ def decode_word_rows(ladder: Sequence[float], words: np.ndarray, *,
 
 def score_lot_grids(lot_grid: np.ndarray,
                     supplies: Sequence[float],
-                    nominal_ladder: Sequence[float], *,
-                    dtype: "np.dtype | str | None" = None
+                    nominal_ladder: Sequence[float]
                     ) -> dict[str, np.ndarray]:
     """The yield-study per-die reduction, vectorized across the lot.
 
@@ -181,7 +171,6 @@ def score_lot_grids(lot_grid: np.ndarray,
             lot_threshold_grid` output).
         supplies: Evaluation supply grid, volts.
         nominal_ladder: Ascending design ladder, volts.
-        dtype: Compare precision (float64 default: exact parity).
 
     Returns:
         Dict of per-die arrays: ``counts`` (dies x supplies, int64),
@@ -195,14 +184,13 @@ def score_lot_grids(lot_grid: np.ndarray,
             unfused ``decode_bounds`` check on that die).
     """
     with phase("kernel.decode"):
-        dt = resolve_dtype(dtype)
-        grid = np.asarray(lot_grid, dtype=dt)
+        grid = np.asarray(lot_grid, dtype=float)
         if grid.ndim != 2:
             raise ConfigurationError(
                 f"expected a (dies, bits) lot grid, got {grid.shape}"
             )
-        v = np.asarray(supplies, dtype=dt)
-        lad = np.asarray(nominal_ladder, dtype=dt)
+        v = np.asarray(supplies, dtype=float)
+        lad = np.asarray(nominal_ladder, dtype=float)
         if lad.size > 1 and not np.all(np.diff(lad) > 0):
             raise DecodingError("thresholds must be strictly ascending")
         if lad.size != grid.shape[1]:
@@ -212,9 +200,7 @@ def score_lot_grids(lot_grid: np.ndarray,
             )
 
         # Physical-order compare: counts + bubbles, (dies, supplies).
-        counts, bubbled = decode_counts(
-            v[None, :], grid[:, None, :], dtype=dt
-        )
+        counts, bubbled = decode_counts(v[None, :], grid[:, None, :])
 
         # Nominal-ladder decode: one padded gather for every die.
         padded = np.concatenate(([-np.inf], lad, [np.inf]))
@@ -232,7 +218,7 @@ def score_lot_grids(lot_grid: np.ndarray,
                 and not np.all(np.diff(die_ladders, axis=-1) > 0):
             raise DecodingError("thresholds must be strictly ascending")
         n_dies = grid.shape[0]
-        inf_col = np.full((n_dies, 1), np.inf, dtype=die_ladders.dtype)
+        inf_col = np.full((n_dies, 1), np.inf)
         pad_die = np.concatenate((-inf_col, die_ladders, inf_col),
                                  axis=1)
         lo_c = np.take_along_axis(pad_die, counts, axis=1)
@@ -275,8 +261,8 @@ def trip_counts_from_thresholds(draws: np.ndarray,
         ``(bits, levels)`` int64 trip counts.
     """
     with phase("kernel.mc"):
-        draws = np.asarray(draws)
-        t = np.asarray(thresholds, dtype=draws.dtype)
+        draws = np.asarray(draws, dtype=float)
+        t = np.asarray(thresholds, dtype=float)
         return np.sum(draws > t[:, None, None], axis=-1,
                       dtype=np.int64)
 
@@ -287,7 +273,6 @@ def s_curve_trip_probability_fused(
     span_sigmas: float = 4.0, n_levels: int = 15,
     bits: Iterable[int] | None = None,
     tech: "Technology | None" = None,
-    dtype: "np.dtype | str | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fused :func:`~repro.kernels.montecarlo.
     s_curve_trip_probability`: same seeded draw cube, but pass/fail by
@@ -310,7 +295,6 @@ def s_curve_trip_probability_fused(
         raise ConfigurationError(
             f"got {len(seeds)} seeds for {idx.size} bits"
         )
-    dt = resolve_dtype(dtype)
     levels = s_curve_levels(design, code=code, noise_rms=noise_rms,
                             span_sigmas=span_sigmas, n_levels=n_levels,
                             bits=idx)
@@ -320,8 +304,6 @@ def s_curve_trip_probability_fused(
         draws[i] = levels[i][:, None] + rng.normal(
             0.0, noise_rms, size=(n_levels, n_per_level)
         )
-    thresholds = threshold_grid(design, (code,), tech, bits=idx,
-                                dtype=dt)[:, 0]
-    counts = trip_counts_from_thresholds(draws.astype(dt, copy=False),
-                                         thresholds)
+    thresholds = threshold_grid(design, (code,), tech, bits=idx)[:, 0]
+    counts = trip_counts_from_thresholds(draws, thresholds)
     return levels, counts / n_per_level

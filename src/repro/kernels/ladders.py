@@ -7,10 +7,10 @@ module is the only place such ladders are memoized.  It holds three
 kinds of entry in one bounded, least-recently-used table:
 
 * :func:`ladder` — a whole (nominal or corner) ladder, keyed by
-  ``(design, code, tech, dtype)`` and solved by
+  ``(design, code, tech)`` and solved by
   :func:`~repro.kernels.thresholds.threshold_grid`;
 * :func:`die_ladders` — per-die rows of a variation lot, keyed by
-  ``(design, sample, code, dtype)``; the missing rows of a call are
+  ``(design, sample, code)``; the missing rows of a call are
   solved in one :func:`~repro.kernels.thresholds.lot_threshold_grid`
   batch, and batch invariance makes each row bit-identical to the same
   row of a whole-lot solve;
@@ -18,10 +18,7 @@ kinds of entry in one bounded, least-recently-used table:
   :meth:`~repro.core.calibration.SensorDesign.bit_threshold`, keyed by
   ``(design, bit, code, tech, window_tech)``.
 
-Every key is made of frozen values.  ``dtype`` is the kernel dtype,
-which the store resolves from ``$REPRO_KERNEL_DTYPE`` at every call:
-a call made while the variable says float32 never reads rungs solved
-in float64, and the other way round.  Entries are the solver's own
+Every key is made of frozen values.  Entries are the solver's own
 floats, returned as tuples, Python floats or read-only arrays: no
 caller can change a stored rung, and every output stays bit-identical
 to a fresh solve.
@@ -41,7 +38,6 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.kernels.dtype import resolve_dtype
 from repro.kernels.thresholds import (
     _bits_array,
     lot_threshold_grid,
@@ -118,11 +114,10 @@ def ladder(design: "SensorDesign", code: int,
     after that.  ``bits`` selects rungs from it, which batch invariance
     makes equal to solving those bits alone.
     """
-    dt = resolve_dtype()
-    key = ("ladder", design, code, tech, dt)
+    key = ("ladder", design, code, tech)
     rungs = _get(key)
     if rungs is _MISSING:
-        grid = threshold_grid(design, (code,), tech, dtype=dt)
+        grid = threshold_grid(design, (code,), tech)
         rungs = _put(key, tuple(grid[:, 0].tolist()))
     if bits is None:
         return rungs
@@ -138,13 +133,12 @@ def die_ladders(design: "SensorDesign",
     batch and stored row by row, each as its own copy, so a stored row
     holds ``bits`` floats and never keeps the batch array alive.
     """
-    dt = resolve_dtype()
-    keys = [("die", design, sample, code, dt) for sample in lot]
+    keys = [("die", design, sample, code) for sample in lot]
     rows = [_get(key) for key in keys]
     missing = [i for i, row in enumerate(rows) if row is _MISSING]
     if missing:
         grid = lot_threshold_grid(design, [lot[i] for i in missing],
-                                  code, dtype=dt)
+                                  code)
         for i, row in zip(missing, grid):
             row = row.copy()
             row.flags.writeable = False

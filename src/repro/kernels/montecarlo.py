@@ -132,8 +132,7 @@ def _delay_law_terms(design: "SensorDesign", idx: np.ndarray,
 
 def trip_margin_grid(design: "SensorDesign", v_eff: np.ndarray, *,
                      code: int, bits: Iterable[int] | None = None,
-                     tech: "Technology | None" = None,
-                     dtype: "np.dtype | str | None" = None) -> np.ndarray:
+                     tech: "Technology | None" = None) -> np.ndarray:
     """Setup margins ``window - d_inv`` over a draw grid, seconds.
 
     ``out[..., i]`` is the margin of ``bits[i]`` at effective supply
@@ -152,18 +151,13 @@ def trip_margin_grid(design: "SensorDesign", v_eff: np.ndarray, *,
             window-defining blocks (the scalar measure's convention).
     """
     with phase("kernel.mc"):
-        from repro.kernels.dtype import resolve_dtype
-
-        dt = resolve_dtype(dtype)
         idx = _bits_array(design, bits)
         window = design.effective_window(code, tech)
         c_total, k_eff, vth, alpha = _delay_law_terms(design, idx, tech)
-        v = np.asarray(v_eff, dtype=dt)
-        g = voltage_factor_grid(v[..., None], vth, alpha, dtype=dt)
-        w = np.asarray(window, dtype=dt)
-        scale = np.asarray(k_eff * c_total, dtype=dt)
+        v = np.asarray(v_eff, dtype=float)
+        g = voltage_factor_grid(v[..., None], vth, alpha)
         with np.errstate(invalid="ignore"):
-            margins = w - scale * g
+            margins = window - (k_eff * c_total) * g
         return margins
 
 
@@ -240,7 +234,6 @@ def s_curve_trip_probability(
     span_sigmas: float = 4.0, n_levels: int = 15,
     bits: Iterable[int] | None = None,
     tech: "Technology | None" = None,
-    dtype: "np.dtype | str | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched s-curve sweep: trip probabilities for many stages.
 
@@ -275,19 +268,14 @@ def s_curve_trip_probability(
             0.0, noise_rms, size=(n_levels, n_per_level)
         )
     with phase("kernel.mc"):
-        from repro.kernels.dtype import resolve_dtype
-
-        dt = resolve_dtype(dtype)
         # One margin evaluation for the whole (bit, level, trial)
         # cube; each bit's lane pairs with its own load capacitance
         # along axis 0, so the cube stays O(bits * levels * trials).
         window = design.effective_window(code, tech)
         c_total, k_eff, vth, alpha = _delay_law_terms(design, idx, tech)
-        g = voltage_factor_grid(draws, vth, alpha, dtype=dt)
-        w = np.asarray(window, dtype=dt)
-        scale = np.asarray(k_eff * c_total, dtype=dt)
+        g = voltage_factor_grid(draws, vth, alpha)
         with np.errstate(invalid="ignore"):
-            margins = w - scale[:, None, None] * g
+            margins = window - (k_eff * c_total)[:, None, None] * g
         passes = np.count_nonzero(margins > 0.0, axis=-1)
         probs = passes / n_per_level
     return levels, probs

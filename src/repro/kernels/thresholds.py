@@ -75,8 +75,7 @@ def threshold_grid(design: "SensorDesign",
                    tech: Technology | None = None, *,
                    window_tech: Technology | None = None,
                    bits: Iterable[int] | None = None,
-                   v_hi: float = 3.0,
-                   dtype: "np.dtype | str | None" = None) -> np.ndarray:
+                   v_hi: float = 3.0) -> np.ndarray:
     """Per-bit failure thresholds over a (bits x codes) grid, volts.
 
     ``out[i, j]`` equals ``design.bit_threshold(bits[i], codes[j],
@@ -95,10 +94,6 @@ def threshold_grid(design: "SensorDesign",
             slicing the full-array solve — :class:`~repro.core.degraded.
             DegradedArray` relies on this.
         v_hi: Upper root bracket, volts.
-        dtype: Working precision of the root solve (see
-            :mod:`repro.kernels.dtype`); the float64 default keeps the
-            oracle-agreement contract, float32 carries the documented
-            error bound.
     """
     bit_idx = _bits_array(design, bits)
     tech_eff = design.tech if tech is None else tech
@@ -114,14 +109,13 @@ def threshold_grid(design: "SensorDesign",
     k_eff = tech_eff.drive_constant / design.sensor_strength
     g_target = windows[None, :] / (k_eff * c_total[:, None])
     return solve_voltage_factor(
-        g_target, tech_eff.vth, tech_eff.alpha, v_hi=v_hi, dtype=dtype
+        g_target, tech_eff.vth, tech_eff.alpha, v_hi=v_hi
     )
 
 
 def lot_threshold_grid(design: "SensorDesign",
                        lot: Sequence["VariationSample"],
-                       code: int, *, v_hi: float = 3.0,
-                       dtype: "np.dtype | str | None" = None
+                       code: int, *, v_hi: float = 3.0
                        ) -> np.ndarray:
     """Per-die, per-bit thresholds over a variation lot: (dies x bits).
 
@@ -156,8 +150,7 @@ def lot_threshold_grid(design: "SensorDesign",
     vth_d = tech.vth + die_vth
     k_d = tech.drive_constant * die_k
     g_design = voltage_factor(tech.vdd_nominal, tech.vth, tech.alpha)
-    g_die = voltage_factor_grid(tech.vdd_nominal, vth_d, tech.alpha,
-                                dtype=dtype)
+    g_die = voltage_factor_grid(tech.vdd_nominal, vth_d, tech.alpha)
     scale_d = (k_d / tech.drive_constant) * (g_die / g_design)
     windows = window_grid(design, (code,))  # nominal windows, len 1
     window_d = scale_d * windows[0]
@@ -167,5 +160,4 @@ def lot_threshold_grid(design: "SensorDesign",
     c_total = tech.intrinsic_cap_unit * design.sensor_strength + loads
     k_eff = k_db / design.sensor_strength
     g_target = window_d[:, None] / (k_eff * c_total[None, :])
-    return solve_voltage_factor(g_target, vth_db, tech.alpha, v_hi=v_hi,
-                                dtype=dtype)
+    return solve_voltage_factor(g_target, vth_db, tech.alpha, v_hi=v_hi)

@@ -158,15 +158,6 @@ class NoiseScenario:
         ))
         return self
 
-    def with_gnd_random_noise(self, rms: float, *,
-                              bandwidth: float = 500e6) -> "NoiseScenario":
-        """Add band-limited stochastic noise on GND-n."""
-        self._gnd_parts.append(band_limited_noise(
-            t_end=self.t_end, dt=self.dt, rms=rms,
-            bandwidth=bandwidth, seed=self.seed + 1,
-        ))
-        return self
-
     def build(self) -> tuple[Waveform, Waveform]:
         """Return ``(vdd_n, gnd_n)`` waveforms."""
         vdd_parts: list[Waveform] = [

@@ -155,26 +155,27 @@ def stable_hash(obj: Any) -> str:
 
 def _numeric_environment() -> tuple[str, ...]:
     """Numeric-environment tokens baked into fingerprints: (NumPy
-    version, kernel layout version, working dtype, kernel backend).
+    version, kernel layout version, kernel dtype, kernel backend).
 
     Kernel-evaluated results depend on the NumPy build's elementwise
     semantics and on the kernel layer's own numerics; folding both into
     :func:`design_fingerprint` guarantees vectorized results never
     alias entries written by a different kernel generation — or by the
     scalar-only era, whose fingerprints carried no version tokens.
-    The dtype token extends the same guarantee to the raw-speed tier:
-    float32 results can never be served to a float64 consumer.  The
-    constant backend token keeps every existing key's bytes.  Imported
-    lazily: the runtime layer must not depend on :mod:`repro.kernels`
-    at import time.
+    The constant dtype and backend tokens keep every existing key's
+    bytes.  Imported lazily: the runtime layer must not depend on
+    :mod:`repro.kernels` at import time.
     """
     import numpy
 
-    from repro.kernels import KERNEL_BACKEND_TOKEN, KERNEL_LAYOUT_VERSION
-    from repro.kernels.dtype import dtype_token
+    from repro.kernels import (
+        KERNEL_BACKEND_TOKEN,
+        KERNEL_DTYPE_TOKEN,
+        KERNEL_LAYOUT_VERSION,
+    )
 
     return (f"numpy/{numpy.__version__}", KERNEL_LAYOUT_VERSION,
-            dtype_token(), KERNEL_BACKEND_TOKEN)
+            KERNEL_DTYPE_TOKEN, KERNEL_BACKEND_TOKEN)
 
 
 def design_fingerprint(design: Any, *, backend: Any = None) -> str:

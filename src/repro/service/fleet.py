@@ -98,10 +98,6 @@ class Fleet:
             )
         return die % self.config.n_shards
 
-    def dies_in_shard(self, shard: int) -> tuple[int, ...]:
-        return tuple(d for d in range(self.config.n_dies)
-                     if d % self.config.n_shards == shard)
-
 
 def die_samples(config: FleetConfig, dies: "list[int]",
                 n_instances: int) -> "list[VariationSample]":

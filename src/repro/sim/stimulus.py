@@ -1,14 +1,11 @@
-"""Stimulus helpers: clocks, pulses and value sequences.
+"""Stimulus helpers: clocks and pulses.
 
 These wrap :meth:`SimulationEngine.schedule_stimulus` with the shapes
-the experiments use — periodic clocks for the control system, single
-pulses for the sensor's P input, and arbitrary timed sequences for FSM
-driving.
+the experiments use — periodic clocks for the control system and
+single pulses for the sensor's P input.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 from repro.cells.base import LogicValue
 from repro.errors import ConfigurationError
@@ -62,25 +59,3 @@ def schedule_pulse(engine: SimulationEngine, net: str, *, t_rise: float,
         raise ConfigurationError("polarity must be 0 or 1")
     engine.schedule_stimulus(net, polarity, t_rise)
     engine.schedule_stimulus(net, 1 - polarity, t_rise + width)
-
-
-def schedule_sequence(engine: SimulationEngine, net: str,
-                      seq: Iterable[tuple[float, LogicValue]]) -> None:
-    """Schedule an arbitrary timed value sequence on a net."""
-    for t, v in seq:
-        engine.schedule_stimulus(net, v, t)
-
-
-def schedule_word(engine: SimulationEngine, nets: Sequence[str],
-                  bits: Sequence[LogicValue], time: float) -> None:
-    """Drive a bus: ``nets[i]`` gets ``bits[i]`` at ``time``.
-
-    Raises:
-        ConfigurationError: on length mismatch.
-    """
-    if len(nets) != len(bits):
-        raise ConfigurationError(
-            f"bus width mismatch: {len(nets)} nets vs {len(bits)} bits"
-        )
-    for net, bit in zip(nets, bits):
-        engine.schedule_stimulus(net, bit, time)

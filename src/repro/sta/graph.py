@@ -137,8 +137,3 @@ class TimingGraph:
                 f"combinational cycle through nets: {cyclic[:8]}"
             )
         self.topo_order = order
-
-    @property
-    def endpoint_nets(self) -> list[str]:
-        """Capture endpoints (FF D nets), sorted."""
-        return sorted(self.capture_setups)

@@ -141,6 +141,21 @@ def test_sim_thresholds_within_tol_of_kernel(design, label_idx):
     assert np.max(np.abs(got - ref)) <= SIM_VS_KERNEL_V, label
 
 
+@pytest.mark.parametrize("code", [1, 2, 3])
+def test_sim_gnd_thresholds_follow_negative_kernel_rungs(design, code):
+    """Under codes 1-3 some GND rungs are negative bounces (the stage
+    already fails at a quiet ground); the sim bisection must bracket
+    them and land within its tolerance of the kernel."""
+    sim = SimBackend(tol=SIM_TOL_V)
+    ker = KernelBackend()
+    sim.configure(design, rail=SenseRail.GND)
+    ker.configure(design, rail=SenseRail.GND)
+    ref = np.asarray(ker.bit_thresholds(code))
+    assert np.any(ref < 0.0)
+    got = np.asarray(sim.bit_thresholds(code))
+    assert np.max(np.abs(got - ref)) <= SIM_TOL_V
+
+
 def test_sim_words_match_kernel_away_from_boundaries(design):
     """At threshold midpoints (maximally far from any decision
     boundary) the event simulation and the kernel return the same

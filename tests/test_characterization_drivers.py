@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro import backends
@@ -31,7 +30,6 @@ from repro.core.characterization import (
 )
 from repro.core.sensor import SenseRail
 from repro.errors import CharacterizationError
-from repro.kernels.dtype import KERNEL_DTYPE_ENV
 from repro.runtime import ResultCache
 
 CAPS = [1.8e-12, 2.0e-12, 2.2e-12]
@@ -59,9 +57,7 @@ def _sweeps(design, **driver):
 
 # -- kernel spellings ----------------------------------------------------------
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_kernel_spellings_agree_bit_for_bit(design, monkeypatch, dtype):
-    monkeypatch.setenv(KERNEL_DTYPE_ENV, dtype)
+def test_kernel_spellings_agree_bit_for_bit(design, monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     unset = _sweeps(design)
     spellings = {
@@ -72,22 +68,6 @@ def test_kernel_spellings_agree_bit_for_bit(design, monkeypatch, dtype):
     }
     for name, driver in spellings.items():
         assert _sweeps(design, **driver) == unset, name
-
-
-@pytest.mark.parametrize("code", range(8))
-def test_float32_gnd_ladder_keeps_its_float64_flip(design, monkeypatch,
-                                                   code):
-    """Under float32 the GND rungs are the VDD rungs flipped in the
-    solve dtype; every paper-design rung lies within a factor of two
-    of ``vdd_nominal``, where the flip is exact (Sterbenz), so the
-    ladder equals the float64 flip of the same rungs bit for bit."""
-    monkeypatch.setenv(KERNEL_DTYPE_ENV, "float32")
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    vdd = characterize_bit_thresholds(design, code)
-    gnd = characterize_bit_thresholds(design, code, rail=SenseRail.GND)
-    nominal = design.tech.vdd_nominal
-    assert _hex(gnd) == _hex(nominal - np.asarray(vdd, dtype=np.float32))
-    assert _hex(gnd) == _hex(nominal - v for v in vdd)
 
 
 # -- sim spellings -------------------------------------------------------------

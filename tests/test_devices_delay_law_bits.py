@@ -145,7 +145,7 @@ def test_dense_supply_sweep_matches_the_oracle():
         assert [g.hex() for g in got_scalar] \
             == [float(g).hex() for g in want]
         assert [float(g).hex() for g in voltage_factor_grid(
-            supplies, vth, alpha, dtype="float64")] \
+            supplies, vth, alpha)] \
             == [float(g).hex() for g in want]
 
 

@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from repro.backends import KernelBackend
-from repro.core.sensor import SenseRail
 from repro.devices.corners import corner_by_name
 from repro.devices.variation import VariationModel
 from repro.errors import ConfigurationError
 from repro.kernels import (
-    KERNEL_DTYPE_ENV,
+    KERNEL_DTYPE_TOKEN,
     ladders,
     lot_threshold_grid,
     threshold_grid,
@@ -181,78 +180,9 @@ def test_returned_values_cannot_be_mutated(design, lot):
         float(v) for v in threshold_grid(design, (3,))[:, 0])
 
 
-def test_float32_env_never_reads_float64_rungs(design, lot, monkeypatch):
-    monkeypatch.setenv(KERNEL_DTYPE_ENV, "float64")
-    wide = ladders.ladder(design, 3)
-    wide_rows = ladders.die_ladders(design, lot, 3)
-    monkeypatch.setenv(KERNEL_DTYPE_ENV, "float32")
-    narrow = ladders.ladder(design, 3)
-    narrow_rows = ladders.die_ladders(design, lot, 3)
-    want = threshold_grid(design, (3,), dtype=np.float32)[:, 0]
-    assert narrow == tuple(float(v) for v in want)
-    assert narrow != wide
-    assert narrow_rows.dtype == np.float32
-    assert np.array_equal(narrow_rows,
-                          lot_threshold_grid(design, lot, 3,
-                                             dtype=np.float32))
-    assert wide_rows.dtype == np.float64
-    # The kernel driver's GND flip stays in float32 as well.
-    gnd = KernelBackend()
-    gnd.configure(design, rail=SenseRail.GND)
-    flipped = design.tech.vdd_nominal - want
-    assert gnd.bit_thresholds(3) == tuple(float(v) for v in flipped)
-    monkeypatch.setenv(KERNEL_DTYPE_ENV, "float64")
-    assert ladders.ladder(design, 3) is wide
-
-
-@pytest.mark.parametrize("order", [
-    ("float64", "float32", "", "float32", "float64"),
-    ("float32", "float64", "float32", "", "float32"),
-])
-def test_switching_env_dtype_never_crosses_rungs(design, lot, monkeypatch,
-                                                 order):
-    """Each read returns the rungs of the dtype the environment names
-    at that call, however often it changes.  The die rows are read in
-    halves first, so a later whole-lot read mixes stored rows with
-    solved ones.  The fresh solves run under the same environment,
-    as the store's own do."""
-    fresh = {}
-    for name in ("float32", "float64"):
-        monkeypatch.setenv(KERNEL_DTYPE_ENV, name)
-        fresh[name] = (threshold_grid(design, (3,))[:, 0],
-                       lot_threshold_grid(design, lot, 3))
-    assert fresh["float32"][0].tolist() != fresh["float64"][0].tolist()
-    for i, raw in enumerate(order):
-        monkeypatch.setenv(KERNEL_DTYPE_ENV, raw)
-        name = raw or "float64"
-        rungs, rows = fresh[name]
-        half = lot[:6] if i % 2 else lot[6:]
-        assert np.array_equal(ladders.die_ladders(design, half, 3),
-                              rows[:6] if i % 2 else rows[6:])
-        assert ladders.ladder(design, 3) == tuple(float(v) for v in rungs)
-        table = ladders.die_ladders(design, lot, 3)
-        assert table.dtype == np.dtype(name)
-        assert table.tobytes() == rows.tobytes()
-    assert ladders.size() == 2 + 2 * len(lot)
-
-
-def test_dtype_tokens_are_literal(monkeypatch):
+def test_dtype_tokens_are_literal():
     """The tokens folded into persisted cache keys never move."""
-    from repro.kernels.dtype import dtype_token, resolve_dtype
-
-    monkeypatch.delenv(KERNEL_DTYPE_ENV, raising=False)
-    assert dtype_token() == "dtype/float64"
-    for raw, token in (("", "dtype/float64"), ("float64", "dtype/float64"),
-                       ("float32", "dtype/float32")):
-        monkeypatch.setenv(KERNEL_DTYPE_ENV, raw)
-        assert dtype_token() == token
-        # The environment default is one shared instance per dtype.
-        assert resolve_dtype() is resolve_dtype()
-    for arg, token in ((np.float32, "dtype/float32"),
-                       (np.dtype(np.float64), "dtype/float64"),
-                       ("float32", "dtype/float32"),
-                       (float, "dtype/float64")):
-        assert dtype_token(arg) == token
+    assert KERNEL_DTYPE_TOKEN == "dtype/float64"
 
 
 def test_racing_threads_share_one_entry(design, monkeypatch):
