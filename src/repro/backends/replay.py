@@ -68,11 +68,6 @@ class ReplayBackend(SensorBackend):
     # -- cursor ------------------------------------------------------------
 
     @property
-    def position(self) -> int:
-        """Index of the next record to serve."""
-        return self._cursor
-
-    @property
     def exhausted(self) -> bool:
         """True once every recorded op has been replayed."""
         return self._cursor >= len(self.trace.records)

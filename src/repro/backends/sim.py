@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version tag of the event-engine realization this driver wraps.
 SIM_ENGINE_VERSION = "sim-engine/v1"
 
+#: Default bisection bracket margin around the kernel threshold, volts.
+DEFAULT_BRACKET_PAD = 0.15
+
 
 def _sim_threshold_task(spec: tuple) -> float:
     """Bisect the event-driven pass/fail boundary of one bit.
@@ -108,7 +111,7 @@ class SimBackend(SensorBackend):
     id = "sim"
 
     def __init__(self, *, tol: float = 0.5e-3,
-                 bracket_pad: float = 0.15) -> None:
+                 bracket_pad: float = DEFAULT_BRACKET_PAD) -> None:
         super().__init__()
         if tol <= 0 or bracket_pad <= 0:
             raise ConfigurationError(

@@ -4,16 +4,16 @@ Execution model
 ---------------
 
 Stage execution is delegated to the campaign scheduler
-(:mod:`repro.campaign.scheduler`): a ready-set executor over the
-spec's DAG that runs every stage whose ``needs`` are satisfied in a
-bounded pool of stage processes (``execution = "parallel"``, the
-default; ``"threads"`` is its legacy spelling) or one at a time in
-this process (``"serial"``, the oracle).  Recording is *not*
-delegated: the runner replays the serial skip/abort walk over the
-scheduler's outcomes in topo order
-(:func:`~repro.campaign.scheduler.finalize_records`), so the
-manifest is bit-identical across execution modes — same records in
-the same order, same stage-cache keys, same resume behaviour.
+(:mod:`repro.campaign.scheduler`): one ready-set loop over the spec's
+DAG that runs every stage whose ``needs`` are satisfied.  A body that
+misses the stage cache runs in a bounded pool of stage processes
+(``execution = "parallel"``, the default; ``"threads"`` is its legacy
+spelling) or inline in this process, one stage at a time in topo
+order (``"serial"``).  Recording is *not* delegated: the runner
+replays the serial skip/abort walk over the scheduler's outcomes in
+topo order (:func:`~repro.campaign.scheduler.finalize_records`), so
+the manifest is bit-identical across execution modes — same records
+in the same order, same stage-cache keys, same resume behaviour.
 
 Every stage result is memoized in a dedicated *stage-result* cache
 under the task cache root, keyed by::

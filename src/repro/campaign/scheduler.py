@@ -2,18 +2,21 @@
 spec's DAG.
 
 :func:`execute_outcomes` walks :meth:`~repro.campaign.spec.
-CampaignSpec.topo_order` and dispatches every stage whose ``needs``
-are all satisfied, in one of two execution modes:
+CampaignSpec.topo_order` in one dispatch loop: every waiting stage
+whose ``needs`` are all satisfied is read from the stage cache, and a
+miss runs its body in one of two places, set by the execution mode:
 
-* ``serial`` — the oracle: one stage at a time, in topo order, every
-  stage body in the campaign process.  Chaos drills (an active
+* ``serial`` — inline, in the campaign process, with the campaign's
+  own context (task cache, ``runtime.workers``, chaos monkey); the
+  loop settles each body before it looks at the next waiting stage,
+  so stages run one at a time in topo order.  Chaos drills (an active
   ``[chaos]`` block or an armed
   :class:`~repro.runtime.chaos.KillAfterPuts`) always run serial: the
   armed cache and the seeded monkey's kill budget live in the
   campaign process, and the drill must trip them there;
-* ``parallel`` (default; ``threads`` is its legacy spelling) — each
-  stage body that misses the stage cache runs in a *stage process*,
-  on a :class:`~concurrent.futures.ProcessPoolExecutor` created at the
+* ``parallel`` (default; ``threads`` is its legacy spelling) — in a
+  *stage process*, on a
+  :class:`~concurrent.futures.ProcessPoolExecutor` created at the
   first miss, so a fully resumed run starts no process.  It has
   ``stage_workers`` processes, or fewer when the DAG is too narrow to
   use them (a chain of stages gets one).  Pure-Python stages hold the
@@ -22,14 +25,15 @@ are all satisfied, in one of two execution modes:
   stage pool is the campaign's only level of parallelism, and nested
   pools would only over-subscribe the CPUs.
 
-Parent and stage process split each stage's work: the parent reads
-the stage cache, evaluates the checks and writes the stage cache; a
-stage process runs only the body and hands back its
-:class:`StageOutcome` and its :data:`~repro.runtime.profiling.PROFILER`
-delta, which the parent merges.  A stage process that dies (SIGKILL,
-OOM) breaks the pool; the scheduler then raises a
-:class:`~repro.errors.CampaignError` naming the in-flight stages, and
-a re-invocation resumes from the stages already stored.
+Under ``parallel``, parent and stage process split each stage's
+work: the parent reads the stage cache, evaluates the checks and
+writes the stage cache; a stage process runs only the body and hands
+back its :class:`StageOutcome` and its
+:data:`~repro.runtime.profiling.PROFILER` delta, which the parent
+merges.  A stage process that dies (SIGKILL, OOM) breaks the pool; the
+scheduler then raises a :class:`~repro.errors.CampaignError` naming
+the in-flight stages, and a re-invocation resumes from the stages
+already stored.
 
 Bit-identity discipline
 -----------------------
@@ -42,13 +46,13 @@ bookkeeping in topo order over those outcomes
 artifacts and check verdicts are byte-identical to a serial run no
 matter what order stages completed in.
 
-Failure semantics mirror the serial loop precisely:
+Failure semantics mirror the serial walk precisely:
 
 * ``on_fail = "abort"``: once a stage at topo position *p* fails, no
   stage at a position after *p* is dispatched (in-flight stages drain;
   the finalization walk records them as ``skipped``, exactly as the
   serial runner — which never ran them — would have).  Stages *before*
-  *p* still run: the serial loop would have completed them first.
+  *p* still run: the serial walk would have completed them first.
 * ``on_fail = "continue"``: only transitive dependents of a failure
   are skipped; independent stages keep dispatching.
 
@@ -149,14 +153,6 @@ def _lookup(stage: StageSpec, key: str, stage_store: ResultCache, *,
     )
 
 
-def _store(stage: StageSpec, key: str, outcome: StageOutcome,
-           stage_store: ResultCache) -> None:
-    """Parent side: keep a freshly computed deterministic payload."""
-    if not outcome.resumed and outcome.error is None \
-            and stage.kind not in NONDETERMINISTIC_KINDS:
-        stage_store.put(key, outcome.payload)
-
-
 def _run_body(ctx: StageContext, stage: StageSpec) -> StageOutcome:
     """Run one stage body where it is called — the campaign process
     under ``serial``, a stage process under ``parallel``.  CPU time is
@@ -196,66 +192,6 @@ def _stage_process(ctx: StageContext, stage: StageSpec,
     return outcome, PROFILER.snapshot()
 
 
-def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
-                     stage_store: ResultCache, fingerprint: str,
-                     execution: str, stage_workers: int,
-                     ) -> dict[str, StageOutcome]:
-    """Run the campaign DAG; returns ``{stage_id: StageOutcome}``.
-
-    Only stages the serial runner would execute are guaranteed an
-    outcome; under ``parallel`` a stage dispatched before an abort
-    barrier moved ahead of it may *also* carry an outcome — the
-    finalization walk ignores it (its payload stays in the stage
-    cache, ready for a later resume).
-
-    Raises:
-        CampaignError: unknown mode, or a stage process died.
-    """
-    bypass = ctx.monkey is not None
-    if execution == "serial":
-        return _execute_serial(spec, ctx, stage_store=stage_store,
-                               fingerprint=fingerprint, bypass=bypass)
-    if execution == "parallel":
-        return _execute_parallel(spec, ctx, stage_store=stage_store,
-                                 fingerprint=fingerprint,
-                                 workers=stage_workers, bypass=bypass)
-    raise CampaignError(
-        f"unknown execution mode {execution!r} "
-        f"(expected serial/parallel)"
-    )
-
-
-def _execute_serial(spec: CampaignSpec, ctx: StageContext, *,
-                    stage_store: ResultCache, fingerprint: str,
-                    bypass: bool) -> dict[str, StageOutcome]:
-    """The oracle loop: exactly the pre-scheduler runner semantics."""
-    outcomes: dict[str, StageOutcome] = {}
-    payloads: dict[str, Any] = {}
-    failed_ids: set[str] = set()
-    aborted = False
-    for stage_id in spec.topo_order():
-        stage = spec.stage(stage_id)
-        if aborted or any(dep in failed_ids for dep in stage.needs):
-            # No outcome: finalization records the skip itself.
-            failed_ids.add(stage_id)
-            continue
-        key = task_key("campaign-stage", fingerprint, stage_id)
-        outcome = _lookup(stage, key, stage_store, bypass=bypass) \
-            or _run_body(ctx, stage)
-        _store(stage, key, outcome, stage_store)
-        with phase("campaign.schedule"):
-            if outcome.error is None:
-                payloads[stage_id] = outcome.payload
-                outcome.checks = evaluate_checks(stage, outcome.payload,
-                                                 payloads)
-            outcomes[stage_id] = outcome
-            if outcome.status != "ok":
-                failed_ids.add(stage_id)
-                if spec.on_fail == "abort":
-                    aborted = True
-    return outcomes
-
-
 def _pool_size(order: tuple[str, ...], stages: dict[str, StageSpec],
                workers: int) -> int:
     """Stage processes to start: ``workers``, capped at ``n - L + 1``.
@@ -272,29 +208,42 @@ def _pool_size(order: tuple[str, ...], stages: dict[str, StageSpec],
     return min(workers, len(order) - max(depth.values()) + 1)
 
 
-def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
-                      stage_store: ResultCache, fingerprint: str,
-                      workers: int, bypass: bool
-                      ) -> dict[str, StageOutcome]:
-    """Ready-set dispatch of stage bodies to stage processes.
+def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
+                     stage_store: ResultCache, fingerprint: str,
+                     execution: str, stage_workers: int,
+                     ) -> dict[str, StageOutcome]:
+    """Run the campaign DAG; returns ``{stage_id: StageOutcome}``.
 
-    Invariants that make the later serial-semantics replay sound:
+    One ready-set loop for both modes.  Invariants that make the
+    serial-semantics replay (:func:`finalize_records`) sound:
 
     * a stage is dispatched only when all its ``needs`` completed with
-      status ``ok`` — so everything the serial loop would have run
+      status ``ok`` — so everything the serial walk would have run
       does run;
     * under ``on_fail = "abort"``, an observed failure at topo
       position *p* stops dispatch of stages positioned after
-      ``min(p)`` (the serial loop would have aborted at or before the
+      ``min(p)`` (the serial walk would have aborted at or before the
       earliest failure), while earlier-positioned stages still
-      dispatch — the serial loop reached them first;
+      dispatch — the serial walk reached them first;
     * a stage whose dependency failed/errored/was skipped is decided
-      ``skipped`` without dispatching (both modes; under abort the
-      barrier implies it).
+      ``skipped`` without dispatching (under abort the barrier implies
+      it).
 
     A ready stage found in the stage cache settles right here in the
-    parent; only a miss reaches the pool.
+    parent.  A miss runs its body inline under ``serial`` (settled
+    before the next waiting stage is looked at, so stages run one at a
+    time in topo order) and on the stage pool under ``parallel``.
+    Only stages the serial walk would execute are guaranteed an
+    outcome; under ``parallel`` a stage dispatched before an abort
+    barrier moved ahead of it may *also* carry an outcome — the
+    finalization walk ignores it (its payload stays in the stage
+    cache, ready for a later resume).
+
+    Raises:
+        CampaignError: a stage process died.
     """
+    bypass = ctx.monkey is not None
+    inline = execution == "serial"
     order = spec.topo_order()
     pos = {sid: i for i, sid in enumerate(order)}
     stages = {sid: spec.stage(sid) for sid in order}
@@ -315,48 +264,66 @@ def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
 
     def settle(sid: str, outcome: StageOutcome) -> None:
         nonlocal abort_pos
+        stage = stages[sid]
         if outcome.error is None:
+            if not outcome.resumed \
+                    and stage.kind not in NONDETERMINISTIC_KINDS:
+                stage_store.put(keys[sid], outcome.payload)
             payloads[sid] = outcome.payload
-            outcome.checks = evaluate_checks(
-                stages[sid], outcome.payload, payloads)
+            outcome.checks = evaluate_checks(stage, outcome.payload,
+                                             payloads)
         outcomes[sid] = outcome
         statuses[sid] = outcome.status
         if abort and outcome.status != "ok":
             abort_pos = min(abort_pos, pos[sid])
 
+    def dispatch() -> str | None:
+        """Decide every waiting stage that can be decided now; return
+        the first one whose body must run inline, or None."""
+        nonlocal pool
+        progressed = True
+        while progressed:
+            progressed = False
+            for sid in list(waiting):
+                stage = stages[sid]
+                dep_states = [statuses.get(d) for d in stage.needs]
+                doomed = any(s is not None and s != "ok"
+                             for s in dep_states) \
+                    or (abort and pos[sid] > abort_pos)
+                if doomed:
+                    # Fate already decided: the serial walk skips it
+                    # too.  No outcome recorded.
+                    statuses[sid] = "skipped"
+                elif any(s != "ok" for s in dep_states):
+                    continue  # a dependency is still running
+                elif (hit := _lookup(stage, keys[sid], stage_store,
+                                     bypass=bypass)) is not None:
+                    settle(sid, hit)
+                elif inline:
+                    waiting.remove(sid)
+                    return sid
+                else:
+                    if pool is None:
+                        pool = _start_pool(_pool_size(order, stages,
+                                                      stage_workers))
+                    fut = pool.submit(_stage_process, child_ctx, stage,
+                                      PROFILER.enabled)
+                    in_flight[fut] = sid
+                waiting.remove(sid)
+                progressed = True
+        return None
+
     try:
         while waiting or in_flight:
             with phase("campaign.schedule"):
-                progressed = True
-                while progressed:
-                    progressed = False
-                    for sid in list(waiting):
-                        stage = stages[sid]
-                        dep_states = [statuses.get(d)
-                                      for d in stage.needs]
-                        doomed = any(
-                            s is not None and s != "ok"
-                            for s in dep_states
-                        ) or (abort and pos[sid] > abort_pos)
-                        if doomed:
-                            # Fate already decided: the serial loop
-                            # skips it too.  No outcome recorded.
-                            statuses[sid] = "skipped"
-                        elif any(s != "ok" for s in dep_states):
-                            continue  # a dependency is still running
-                        elif (hit := _lookup(stage, keys[sid],
-                                             stage_store,
-                                             bypass=bypass)) is not None:
-                            settle(sid, hit)
-                        else:
-                            if pool is None:
-                                pool = _start_pool(_pool_size(
-                                    order, stages, workers))
-                            fut = pool.submit(_stage_process, child_ctx,
-                                              stage, PROFILER.enabled)
-                            in_flight[fut] = sid
-                        waiting.remove(sid)
-                        progressed = True
+                sid = dispatch()
+            if sid is not None:
+                # Outside the schedule phase, so --profile books the
+                # body as stage time, not scheduling.
+                outcome = _run_body(ctx, stages[sid])
+                with phase("campaign.schedule"):
+                    settle(sid, outcome)
+                continue
             if not in_flight:
                 if waiting:  # pragma: no cover - defensive
                     raise CampaignError(
@@ -383,10 +350,8 @@ def _execute_parallel(spec: CampaignSpec, ctx: StageContext, *,
                             f"{lost} in flight; re-run the campaign "
                             f"to resume from the stored stages"
                         ) from exc
-                    sid = in_flight.pop(fut)
                     PROFILER.merge(profile)
-                    _store(stages[sid], keys[sid], outcome, stage_store)
-                    settle(sid, outcome)
+                    settle(in_flight.pop(fut), outcome)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -207,7 +207,11 @@ def _run_cap_sweep(ctx: StageContext,
 
 def _run_threshold_sweep(ctx: StageContext,
                          stage: StageSpec) -> tuple[dict, dict]:
-    from repro.backends.sim import _sim_bracket, _sim_threshold_task
+    from repro.backends.sim import (
+        DEFAULT_BRACKET_PAD,
+        _sim_bracket,
+        _sim_threshold_task,
+    )
     from repro.core.sensor import SenseRail
     from repro.runtime.resilient import resilient_cached_map
 
@@ -219,7 +223,7 @@ def _run_threshold_sweep(ctx: StageContext,
     specs, keys = [], []
     for b in bits:
         est = ctx.design.bit_threshold(b, code)
-        v_lo, v_hi = _sim_bracket(est, 0.15)
+        v_lo, v_hi = _sim_bracket(est, DEFAULT_BRACKET_PAD)
         specs.append((ctx.design, b, code, rail, ctx.tech,
                       v_lo, v_hi, tol))
         keys.append(task_key("campaign-threshold", ctx.fingerprint(),

@@ -79,10 +79,6 @@ class NLDMTable:
             + d11 * tv * tc
         )
 
-    @property
-    def supply_range(self) -> tuple[float, float]:
-        return self.supplies[0], self.supplies[-1]
-
 
 def characterize_cell(cell: Cell, *, input_pin: str = "A",
                       output_pin: str = "Y",

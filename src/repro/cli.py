@@ -1019,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         pr.add_argument("--execution", default=None,
                         choices=("serial", "parallel", "threads"),
                         help="override runtime.execution: 'serial' "
-                             "(the oracle loop, in this process) or "
+                             "(stage bodies inline in this process) or "
                              "'parallel' (stage bodies in stage "
                              "processes, the default; 'threads' is "
                              "its legacy spelling); both produce "

@@ -55,8 +55,10 @@ _METHOD_SPECS = {"analytic": "kernel", "sim": "sim"}
 
 def _driver(backend: "SensorBackend | str | None",
             method: Method | None, *, tol: float,
-            bracket_pad: float = 0.15) -> "SensorBackend":
-    """The one driver an entry point measures through."""
+            bracket_pad: float | None = None) -> "SensorBackend":
+    """The one driver an entry point measures through.  A sim driver
+    built here bisects at ``tol``, and at ``bracket_pad`` unless it is
+    None (then at :data:`repro.backends.sim.DEFAULT_BRACKET_PAD`)."""
     from repro.backends import resolve_backend
 
     if method is not None:
@@ -67,8 +69,10 @@ def _driver(backend: "SensorBackend | str | None",
         if method not in _METHOD_SPECS:
             raise ConfigurationError(f"unknown method {method!r}")
         backend = _METHOD_SPECS[method]
-    return resolve_backend(backend, sim_settings={
-        "tol": tol, "bracket_pad": bracket_pad})
+    settings = {"tol": tol}
+    if bracket_pad is not None:
+        settings["bracket_pad"] = bracket_pad
+    return resolve_backend(backend, sim_settings=settings)
 
 
 def _masked(values: Sequence[float]) -> tuple[float | None, ...]:
@@ -116,7 +120,7 @@ def characterize_bit_thresholds(
         method: Method | None = None,
         backend: "SensorBackend | str | None" = None,
         tol: float = 0.5e-3,
-        bracket_pad: float = 0.15,
+        bracket_pad: float | None = None,
         workers: int | None = None,
         cache: ResultCache | str | None = None,
         retries: int = 0,
@@ -139,7 +143,7 @@ def characterize_bit_thresholds(
             docstring.  NaN thresholds report as ``None``.
         tol / bracket_pad: Bisection tolerance and bracket margin
             around the kernel threshold, volts, of a sim driver built
-            here.
+            here; ``bracket_pad=None`` keeps the driver's default.
         workers: Process-pool size (<= 1: serial).
         cache: On-disk memoization — a
             :class:`~repro.runtime.ResultCache` or a cache directory;
@@ -164,7 +168,7 @@ def characterize_array(design: SensorDesign,
                        method: Method | None = None,
                        backend: "SensorBackend | str | None" = None,
                        tol: float = 0.5e-3,
-                       bracket_pad: float = 0.15,
+                       bracket_pad: float | None = None,
                        workers: int | None = None,
                        cache: ResultCache | str | None = None,
                        retries: int = 0,

@@ -41,9 +41,6 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def sort_key(self) -> tuple[float, int]:
-        return (self.time, self.seq)
-
 
 class EventQueue:
     """Min-heap of :class:`Event` ordered by (time, seq)."""

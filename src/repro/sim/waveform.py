@@ -157,10 +157,6 @@ class SumWaveform:
             raise ConfigurationError("SumWaveform needs at least one part")
         self._components = tuple(components)
 
-    @property
-    def components(self) -> tuple[Waveform, ...]:
-        return self._components
-
     def __call__(self, t: float) -> float:
         return sum(w(t) for w in self._components)
 

@@ -87,11 +87,6 @@ class RunningStats:
             return math.nan
         return self._m2 / (self.count - 1)
 
-    @property
-    def std(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan
-
     def as_dict(self) -> dict[str, float | int | None]:
         """JSON-friendly summary (None where undefined)."""
         empty = self.count == 0

@@ -386,6 +386,66 @@ def test_profile_phases_match_across_modes(tmp_path, profiler):
             "kernel.solve"} <= names["parallel"]
 
 
+def test_serial_bodies_stay_out_of_the_schedule_phase(tmp_path,
+                                                     profiler):
+    """Serial stage bodies run inline in the campaign process, but
+    ``--profile`` books them under their stage phases, not under
+    ``campaign.schedule``."""
+    prof, _ladders = profiler
+    prof.reset()
+    spec = make_spec([synth("s0", dwell_ms=150.0),
+                      synth("s1", needs=["s0"], dwell_ms=150.0)])
+    assert run_campaign(spec, out_dir=tmp_path / "out",
+                        execution="serial").ok
+    phases = prof.snapshot()
+    stage_s = sum(phases[f"campaign.stage.{sid}"][1]
+                  for sid in ("s0", "s1"))
+    assert stage_s >= 0.3
+    assert phases["campaign.schedule"][1] < 0.1
+
+
+def bodies_run(out_dir):
+    """Ids of the synthetic stages whose body ran in ``out_dir``: each
+    body leaves one task-cache entry holding its ``value``, which
+    these tests set to the stage's index."""
+    import pickle
+
+    from repro.campaign.runner import CACHE_DIR
+    from repro.runtime.cache import ResultCache
+
+    return {f"s{int(pickle.loads(path.read_bytes())['value'])}"
+            for path in ResultCache(out_dir / CACHE_DIR).entries()}
+
+
+#: s2 runs its body but fails its check; s3 and s4 depend on it.
+WALK_STAGES = [
+    synth("s0", value=0.0),
+    synth("s1", value=1.0),
+    synth("s2", value=2.0, bad_check=True),
+    synth("s3", value=3.0, needs=["s2"]),
+    synth("s4", value=4.0, needs=["s3"]),
+    synth("s5", value=5.0),
+    synth("s6", value=6.0, needs=["s0"]),
+]
+
+
+def test_serial_abort_runs_no_body_past_the_first_failure(tmp_path):
+    spec = make_spec(WALK_STAGES, on_fail="abort")
+    run = run_campaign(spec, out_dir=tmp_path / "out", execution="serial")
+    order = spec.topo_order()
+    first = order.index("s2")
+    assert run.record("s2").status == "failed"
+    assert bodies_run(tmp_path / "out") == set(order[:first + 1])
+
+
+def test_serial_continue_skips_only_dependent_bodies(tmp_path):
+    spec = make_spec(WALK_STAGES, on_fail="continue")
+    run = run_campaign(spec, out_dir=tmp_path / "out", execution="serial")
+    assert run.record("s2").status == "failed"
+    assert bodies_run(tmp_path / "out") \
+        == {"s0", "s1", "s2", "s5", "s6"}
+
+
 # -- the property test ----------------------------------------------------
 
 
