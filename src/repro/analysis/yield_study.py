@@ -226,9 +226,11 @@ def run_yield_study(design: "SensorDesign",
             chunks, each solved and scored as one batch.
         cache: On-disk memoization of per-die scores — a
             :class:`~repro.runtime.ResultCache` or a cache directory;
-            ``None`` disables caching.  Each die has its own entry,
-            written as soon as its chunk completes; a fully cached lot
-            solves nothing and starts no pool.
+            ``None`` disables caching.  Each die has its own entry
+            name; a chunk's entries share one file (see
+            :meth:`~repro.runtime.ResultCache.put_many`), written as
+            soon as the chunk completes.  A fully cached lot solves
+            nothing and starts no pool.
         retries / task_timeout / failure_policy: Resilience options
             (see :func:`repro.runtime.resilient_map`).  Under
             ``"raise"`` a retry re-runs the whole chunk and
@@ -262,16 +264,17 @@ def run_yield_study(design: "SensorDesign",
                 f"backend {bk.id!r} does not characterize mismatch "
                 f"lots (capabilities().lot_thresholds is False)"
             )
-        # One lot_thresholds op, so a recorded yield study is a
-        # single-record trace.
+        # One lot_thresholds op, so a recorded yield study is one
+        # measurement record after its configure record.
         bk.configure(design)
         scores = _scores_from_lot_grid(
             bk.lot_thresholds(lot, code), supply_grid, nominal_ladder
         )
     else:
         # Cache hits first.  The missing dies go in contiguous chunks,
-        # one per worker (one die per chunk under "partial"), and each
-        # die's score is put the moment its chunk completes.
+        # one per worker (one die per chunk under "partial"), and a
+        # chunk's die scores are put, as one file, the moment it
+        # completes.
         store = resolve_cache(cache)
         found: list[_DieScore | None] = [None] * n_dies
         keys: list[str] = []
@@ -293,8 +296,9 @@ def run_yield_study(design: "SensorDesign",
             def on_result(c: int, chunk_scores: list[_DieScore]) -> None:
                 for i, score in zip(chunks[c], chunk_scores):
                     found[i] = score
-                    if store is not None:
-                        store.put(keys[i], score)
+                if store is not None:
+                    store.put_many({keys[i]: score for i, score
+                                    in zip(chunks[c], chunk_scores)})
 
             resilient_map(
                 _score_chunk,

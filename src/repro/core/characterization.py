@@ -19,7 +19,7 @@ The test suite asserts the two agree to sub-millivolt precision.
 ``"kernel"``.  ``method="analytic"``/``"sim"`` is an alias for the
 ``"kernel"``/``"sim"`` spec.  A driver instance measures with its own
 settings; a sim driver the entry point builds from a spec bisects at
-the entry point's ``tol`` and ``bracket_pad``.
+the entry point's ``tol`` and the driver's default bracket margin.
 
 The sim sweep is embarrassingly parallel across (bit, delay code)
 pairs and deterministic (bisection, no RNG), so every entry point
@@ -54,11 +54,11 @@ _METHOD_SPECS = {"analytic": "kernel", "sim": "sim"}
 
 
 def _driver(backend: "SensorBackend | str | None",
-            method: Method | None, *, tol: float,
-            bracket_pad: float | None = None) -> "SensorBackend":
+            method: Method | None, *, tol: float) -> "SensorBackend":
     """The one driver an entry point measures through.  A sim driver
-    built here bisects at ``tol``, and at ``bracket_pad`` unless it is
-    None (then at :data:`repro.backends.sim.DEFAULT_BRACKET_PAD`)."""
+    built here bisects at ``tol`` within
+    :data:`repro.backends.sim.DEFAULT_BRACKET_PAD` of the kernel
+    threshold."""
     from repro.backends import resolve_backend
 
     if method is not None:
@@ -69,10 +69,7 @@ def _driver(backend: "SensorBackend | str | None",
         if method not in _METHOD_SPECS:
             raise ConfigurationError(f"unknown method {method!r}")
         backend = _METHOD_SPECS[method]
-    settings = {"tol": tol}
-    if bracket_pad is not None:
-        settings["bracket_pad"] = bracket_pad
-    return resolve_backend(backend, sim_settings=settings)
+    return resolve_backend(backend, sim_settings={"tol": tol})
 
 
 def _masked(values: Sequence[float]) -> tuple[float | None, ...]:
@@ -120,7 +117,6 @@ def characterize_bit_thresholds(
         method: Method | None = None,
         backend: "SensorBackend | str | None" = None,
         tol: float = 0.5e-3,
-        bracket_pad: float | None = None,
         workers: int | None = None,
         cache: ResultCache | str | None = None,
         retries: int = 0,
@@ -141,9 +137,7 @@ def characterize_bit_thresholds(
         backend: Measurement driver — an instance or a registry spec
             (see :mod:`repro.backends`), resolved per the module
             docstring.  NaN thresholds report as ``None``.
-        tol / bracket_pad: Bisection tolerance and bracket margin
-            around the kernel threshold, volts, of a sim driver built
-            here; ``bracket_pad=None`` keeps the driver's default.
+        tol: Bisection tolerance, volts, of a sim driver built here.
         workers: Process-pool size (<= 1: serial).
         cache: On-disk memoization — a
             :class:`~repro.runtime.ResultCache` or a cache directory;
@@ -153,7 +147,7 @@ def characterize_bit_thresholds(
             a bit whose bisection kept failing reports ``None``
             instead of aborting the sweep.
     """
-    bk = _driver(backend, method, tol=tol, bracket_pad=bracket_pad)
+    bk = _driver(backend, method, tol=tol)
     (row,) = bk.sweep_codes(
         design, (code,), rail=rail, tech=tech, workers=workers,
         cache=cache, retries=retries, task_timeout=task_timeout,
@@ -168,7 +162,6 @@ def characterize_array(design: SensorDesign,
                        method: Method | None = None,
                        backend: "SensorBackend | str | None" = None,
                        tol: float = 0.5e-3,
-                       bracket_pad: float | None = None,
                        workers: int | None = None,
                        cache: ResultCache | str | None = None,
                        retries: int = 0,
@@ -192,7 +185,7 @@ def characterize_array(design: SensorDesign,
 
     Driver and sweep options as in :func:`characterize_bit_thresholds`.
     """
-    bk = _driver(backend, method, tol=tol, bracket_pad=bracket_pad)
+    bk = _driver(backend, method, tol=tol)
     rows = bk.sweep_codes(
         design, codes, rail=SenseRail.VDD, tech=tech, workers=workers,
         cache=cache, retries=retries, task_timeout=task_timeout,

@@ -21,14 +21,18 @@ Design goals, in order:
    :meth:`ResultCache.stats` and the ``repro cache`` CLI subcommand —
    they are how the test suite proves a warm rerun did zero bisections.
 
-Entries are one pickle file per key under the cache root, written
-atomically (temp file + ``os.replace``) so concurrent writers at worst
-waste a compute, never tear an entry.
+Every key has one entry name, ``<key>.pkl``, under the cache root,
+written atomically (temp file + ``os.replace``) so concurrent writers
+at worst waste a compute, never tear an entry.  :meth:`ResultCache.put`
+gives a key a file of its own; :meth:`ResultCache.put_many` pickles a
+whole batch (one lot chunk's dies) into one file and hard-links every
+key's name to it, because creating a file costs far more than linking
+one.  A damaged shared file reads as a miss plus an error for every
+key that names it, and each of them heals.
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import enum
 import hashlib
@@ -36,6 +40,7 @@ import os
 import pickle
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 from typing import Any, Callable
 
@@ -219,6 +224,80 @@ def task_key(kind: str, *parts: Any) -> str:
 # -- the cache -----------------------------------------------------------------
 
 
+class _Shared(dict):
+    """One :meth:`ResultCache.put_many` batch, ``{key: value}``, as
+    pickled into the file that all of its keys' entry names link to.
+    Its own type tells :meth:`ResultCache.get` to pick out one key."""
+
+    __slots__ = ()
+
+
+def _flush_deltas(root: Path, unflushed: list[int]) -> None:
+    """Append and zero ``unflushed`` (hits, misses, errors) in
+    ``root``'s stats log; see :meth:`ResultCache.flush_stats`.
+
+    A module function, so the exit/collection finalizer of a
+    :class:`ResultCache` holds its root and counters but not the
+    instance itself.
+    """
+    h, m, e = unflushed
+    if h == 0 and m == 0 and e == 0:
+        return
+    unflushed[:] = [0, 0, 0]
+    line = f"{os.getpid()} {h} {m} {e}\n".encode()
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(root / STATS_LOG_NAME,
+                     os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            os.write(fd, line)
+            # Cheap size gate first (every line is >= 8 bytes), so
+            # the common flush never reads the log back.
+            if fcntl is not None and os.fstat(fd).st_size \
+                    > 8 * _STATS_COMPACT_LINES:
+                _compact_locked(fd)
+        finally:
+            os.close(fd)  # releases the flock with it
+    except OSError:
+        pass
+
+
+def _compact_locked(fd: int) -> None:
+    """Fold the stats log into one baseline line, in place.
+
+    Caller holds ``LOCK_EX`` on ``fd``.  The fold reuses the same
+    inode (truncate + ``O_APPEND`` rewrite) rather than a rename,
+    so writers blocked on the flock — which hold fds to *this*
+    inode — append after the baseline instead of resurrecting a
+    replaced file.
+    """
+    os.lseek(fd, 0, os.SEEK_SET)
+    chunks = []
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    lines = b"".join(chunks).splitlines()
+    if len(lines) <= _STATS_COMPACT_LINES:
+        return
+    totals = [0, 0, 0]
+    for raw in lines:
+        parts = raw.split()
+        if len(parts) != 4:
+            continue  # torn or foreign line: drop from the fold
+        try:
+            deltas = [int(p) for p in parts[1:]]
+        except ValueError:
+            continue
+        for i in range(3):
+            totals[i] += deltas[i]
+    os.ftruncate(fd, 0)
+    os.write(fd, f"0 {totals[0]} {totals[1]} {totals[2]}\n".encode())
+
+
 def default_cache_dir() -> Path:
     """The default on-disk location: ``$REPRO_CACHE_DIR`` or
     ``~/.cache/repro-psn``."""
@@ -229,7 +308,7 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """A directory of pickled results, one file per key.
+    """A directory of pickled results, one entry name per key.
 
     Attributes:
         root: Cache directory (created on first use).
@@ -252,9 +331,13 @@ class ResultCache:
         #: set when a put hit an OSError: further puts become no-ops
         #: (the sweep keeps running uncached rather than crashing).
         self.disabled = False
-        # Deltas not yet appended to the on-disk stats log.
+        # Deltas not yet appended to the on-disk stats log; mutated in
+        # place only, because the finalizer holds this very list.
         self._unflushed = [0, 0, 0]  # hits, misses, errors
-        self._flush_registered = False
+        self._finalizer: weakref.finalize | None = None
+        #: ``(stat stamp, batch)`` of the shared file read last, so a
+        #: warm lot unpickles each :meth:`put_many` file once.
+        self._memo: tuple[tuple[int, ...], _Shared] | None = None
 
     # -- persistent counters ----------------------------------------------
 
@@ -268,9 +351,10 @@ class ResultCache:
         self._unflushed[0] += hits
         self._unflushed[1] += misses
         self._unflushed[2] += errors
-        if not self._flush_registered:
-            self._flush_registered = True
-            atexit.register(self.flush_stats)
+        if self._finalizer is None:
+            # Weak: the exit hook must not keep the instance alive.
+            self._finalizer = weakref.finalize(
+                self, _flush_deltas, self.root, self._unflushed)
         if sum(self._unflushed) >= _STATS_FLUSH_EVERY:
             self.flush_stats()
 
@@ -281,6 +365,8 @@ class ResultCache:
         ``O_APPEND`` (atomic for short writes on POSIX), so parent and
         pool-worker processes interleave without tearing.  Best-effort:
         an unwritable root loses observability, never the sweep.
+        Deltas still buffered when the instance is collected, or when
+        the process exits, are flushed then.
 
         The log is self-compacting: once it grows past
         :data:`_STATS_COMPACT_LINES` lines the whole history is folded
@@ -291,62 +377,7 @@ class ResultCache:
         ``fcntl`` (non-POSIX) compaction is skipped; the log just
         grows, as before.
         """
-        h, m, e = self._unflushed
-        if h == 0 and m == 0 and e == 0:
-            return
-        self._unflushed = [0, 0, 0]
-        line = f"{os.getpid()} {h} {m} {e}\n".encode()
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.root / STATS_LOG_NAME,
-                         os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                if fcntl is not None:
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-                os.write(fd, line)
-                # Cheap size gate first (every line is >= 8 bytes), so
-                # the common flush never reads the log back.
-                if fcntl is not None and os.fstat(fd).st_size \
-                        > 8 * _STATS_COMPACT_LINES:
-                    self._compact_locked(fd)
-            finally:
-                os.close(fd)  # releases the flock with it
-        except OSError:
-            pass
-
-    @staticmethod
-    def _compact_locked(fd: int) -> None:
-        """Fold the stats log into one baseline line, in place.
-
-        Caller holds ``LOCK_EX`` on ``fd``.  The fold reuses the same
-        inode (truncate + ``O_APPEND`` rewrite) rather than a rename,
-        so writers blocked on the flock — which hold fds to *this*
-        inode — append after the baseline instead of resurrecting a
-        replaced file.
-        """
-        os.lseek(fd, 0, os.SEEK_SET)
-        chunks = []
-        while True:
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                break
-            chunks.append(chunk)
-        lines = b"".join(chunks).splitlines()
-        if len(lines) <= _STATS_COMPACT_LINES:
-            return
-        totals = [0, 0, 0]
-        for raw in lines:
-            parts = raw.split()
-            if len(parts) != 4:
-                continue  # torn or foreign line: drop from the fold
-            try:
-                deltas = [int(p) for p in parts[1:]]
-            except ValueError:
-                continue
-            for i in range(3):
-                totals[i] += deltas[i]
-        os.ftruncate(fd, 0)
-        os.write(fd, f"0 {totals[0]} {totals[1]} {totals[2]}\n".encode())
+        _flush_deltas(self.root, self._unflushed)
 
     def lifetime_stats(self) -> dict[str, int]:
         """Aggregated counters across *every* process that used this
@@ -402,18 +433,32 @@ class ResultCache:
         """``(True, value)`` on a hit; ``(False, None)`` otherwise.
 
         A corrupt entry counts as a miss (plus ``errors``) and is
-        deleted so the follow-up :meth:`put` starts clean.
+        deleted so the follow-up :meth:`put` starts clean.  An entry
+        that names a :meth:`put_many` file serves its own key's value;
+        the file read last is kept unpickled, keyed on its device,
+        inode, size and mtime, so the batch's other keys skip the
+        unpickle.
         """
         path = self._path(key)
         try:
             with phase("cache.get"), path.open("rb") as fh:
-                value = pickle.load(fh)
+                st = os.fstat(fh.fileno())
+                stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+                memo = self._memo
+                if memo is not None and memo[0] == stamp:
+                    value = memo[1]
+                else:
+                    value = pickle.load(fh)
+                if type(value) is _Shared:
+                    self._memo = (stamp, value)
+                    value = value[key]
         except FileNotFoundError:
             self._count(misses=1)
             return False, None
         except Exception:
             # Truncated pickle, wrong protocol, unreadable file, a
-            # class that no longer unpickles: recompute, don't crash.
+            # class that no longer unpickles, a batch without this
+            # key: recompute, don't crash.
             self._count(misses=1, errors=1)
             try:
                 path.unlink()
@@ -459,6 +504,63 @@ class ResultCache:
                 return
             raise
 
+    def put_many(self, items: dict[str, Any]) -> None:
+        """Persist every ``key: value`` of ``items``, as :meth:`put`
+        would, but in one file.
+
+        The batch is pickled once into a temp file; each key's entry
+        name is then a hard link to it, made under a temp name and
+        moved into place with ``os.replace``, so every entry is still
+        atomic.  Where no more links can be made (``EMLINK``, or a
+        filesystem without hard links) the remaining keys are put one
+        by one.  Filesystem failures degrade as in :meth:`put`.
+        """
+        if self.disabled:
+            return
+        with phase("cache.put"):
+            self._put_many(items)
+
+    def _put_many(self, items: dict[str, Any]) -> None:
+        self._memo = None  # a new file may reuse the memo's inode
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, shared = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except OSError as exc:
+            self._disable_puts(exc)
+            return
+        link = f"{shared}.link"
+        keys = list(items)
+        linked = 0
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(_Shared(items), fh,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+            for key in keys:
+                try:
+                    os.link(shared, link)
+                except OSError:
+                    break  # no (more) hard links: put the rest alone
+                os.replace(link, self._path(key))
+                linked += 1
+        except BaseException as exc:
+            for tmp in (link, shared):
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            if isinstance(exc, OSError):
+                self._disable_puts(exc)
+                return
+            raise
+        try:
+            os.unlink(shared)
+        except OSError:
+            pass
+        for key in keys[linked:]:
+            if self.disabled:
+                return
+            self._put(key, items[key])
+
     def _disable_puts(self, exc: OSError) -> None:
         self._count(errors=1)
         self.disabled = True
@@ -488,6 +590,7 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
+        self._memo = None
         removed = 0
         for path in self.entries():
             try:
@@ -513,10 +616,15 @@ class ResultCache:
         process that ever used the root (see :meth:`lifetime_stats`).
         """
         entries = self.entries()
+        # Entries of one put_many batch share a file: count it once.
+        sizes = {}
+        for p in entries:
+            st = p.stat()
+            sizes[st.st_dev, st.st_ino] = st.st_size
         return {
             "dir": str(self.root),
             "entries": len(entries),
-            "bytes": sum(p.stat().st_size for p in entries),
+            "bytes": sum(sizes.values()),
             "hits": self.hits,
             "misses": self.misses,
             "errors": self.errors,

@@ -136,3 +136,23 @@ def test_partial_policy_drops_only_the_failing_die(design, monkeypatch):
     with pytest.raises(ConfigurationError):
         run_yield_study(design, MILD, n_dies=n, seed=seed, workers=1,
                         failure_policy="partial")
+
+
+def test_recorded_yield_study_is_one_lot_thresholds_record(design):
+    """A named driver scores the whole lot from one ``lot_thresholds``
+    op: the recorded trace holds that one measurement record after its
+    ``configure``, and replaying it gives the same report."""
+    from repro.backends import KernelBackend, RecordingBackend, ReplayBackend
+
+    model = VariationModel()
+    recorder = RecordingBackend(KernelBackend())
+    report = run_yield_study(design, model, n_dies=6, seed=5,
+                             backend=recorder)
+    assert [r["op"] for r in recorder.trace.records] == \
+        ["configure", "lot_thresholds"]
+    assert len(recorder.trace.records[1]["table"]) == 6
+    assert report == run_yield_study(design, model, n_dies=6, seed=5)
+    replay = ReplayBackend(recorder.trace)
+    assert run_yield_study(design, model, n_dies=6, seed=5,
+                           backend=replay) == report
+    assert replay.exhausted
