@@ -9,7 +9,8 @@ agreement *before* any timing (same gate-then-time pattern as
   each.  Kernel path: one
   :func:`~repro.kernels.montecarlo.s_curve_trip_probability` call for
   the whole (bit x level x trial) draw cube.  Scalar oracle: the
-  original per-draw loop (``measure_s_curve(method="scalar")``).  The
+  original per-draw loop
+  (:func:`benchmarks._oracles.measure_s_curve_scalar`).  The
   two must agree *exactly* — same Generator streams under the
   ``MC_SEED_SCHEME`` spawn scheme, same elementwise pass/fail
   arithmetic — so the gate is float-for-float equality, not a
@@ -43,12 +44,13 @@ from benchmarks._report import emit, fmt_rows
 
 def _s_curve_scalar(design, seeds, *, noise_rms, code, n_levels,
                     n_per_level):
-    from repro.analysis.repeatability import measure_s_curve
+    from benchmarks._oracles import measure_s_curve_scalar
 
     return [
-        measure_s_curve(design, bit, noise_rms=noise_rms, code=code,
-                        n_levels=n_levels, n_per_level=n_per_level,
-                        seed=seeds[bit - 1], method="scalar")
+        measure_s_curve_scalar(design, bit, noise_rms=noise_rms,
+                               code=code, n_levels=n_levels,
+                               n_per_level=n_per_level,
+                               seed=seeds[bit - 1])
         for bit in range(1, design.n_bits + 1)
     ]
 

@@ -137,11 +137,11 @@ def _check_mc(design, seeds, cube, code, *, n_per_level) -> float:
 def run(*, smoke: bool = False, repeats: int = 3,
         out: str | None = None) -> dict[str, Any]:
     """Gate agreement, then time tier 1 vs tier 2; persist the report."""
-    from repro.analysis.yield_study import lot_threshold_grid
     from repro.core.calibration import paper_design
     from repro.devices.variation import VariationModel
     from repro.kernels import (
         KERNEL_LAYOUT_VERSION,
+        lot_threshold_grid,
         spawn_bit_seeds,
         threshold_grid,
     )

@@ -20,17 +20,18 @@ S-curve per stage with a per-bit child seed
 fan-out across bits, bit-identical to the serial loop) and ``cache=``
 (per-stage memoization) — see :mod:`repro.runtime`.
 
-Both statistical flows run on the batched Monte-Carlo kernels by
-default (``method="kernel"``, :mod:`repro.kernels.montecarlo`); the
-original per-draw loops stay as the correctness oracle
-(``method="scalar"``) and the two produce *identical* histograms and
-trip probabilities — same Generator stream, same elementwise
-arithmetic — which ``tests/test_kernels_montecarlo.py`` asserts.
+Both statistical flows run on the batched Monte-Carlo kernels
+(:mod:`repro.kernels.montecarlo`); the S-curves go through a
+measurement driver's ``s_curve`` op, the kernel driver unless one is
+named.  The original per-draw loops live in ``benchmarks/_oracles.py``
+as the correctness oracle, and the kernels produce *identical*
+histograms and trip probabilities — same Generator stream, same
+elementwise arithmetic — which ``tests/test_kernels_montecarlo.py``
+asserts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _sense_rail():
     # Imported at the call: repro.core.sensor loads the cell and
-    # simulator layers, which the kernel paths here never touch.
+    # simulator layers, which importing this module does not need.
     from repro.core.sensor import SenseRail
 
     return SenseRail
@@ -61,62 +62,39 @@ def _sense_rail():
 def word_histogram(design: "SensorDesign", *, level: float,
                    noise_rms: float, n_measures: int = 200,
                    code: int = 3, seed: int = 7,
-                   rail: "SenseRail | None" = None,
-                   method: str = "kernel") -> dict[str, int]:
+                   rail: "SenseRail | None" = None) -> dict[str, int]:
     """Distribution of output words at a noisy nominal level.
 
     Each measure draws an independent Gaussian rail sample
     ``level + N(0, noise_rms)`` (the sensor's per-measure aperture is
-    far shorter than broadband noise correlation anyway).
-
-    ``method="kernel"`` (default) draws all samples in one Generator
-    call and counts words with
-    :func:`repro.kernels.montecarlo.word_grid_mc`;
-    ``method="scalar"`` is the original per-measure loop.  The two are
-    identical — a batched ``normal(size=n)`` fills from the same
+    far shorter than broadband noise correlation anyway).  All samples
+    come from one Generator call and the words are counted with
+    :func:`repro.kernels.montecarlo.word_grid_mc`, identical to a
+    per-measure loop: a batched ``normal(size=n)`` fills from the same
     stream as ``n`` scalar draws, and the kernel's pass/fail
     arithmetic matches the scalar measure float for float.
 
     Raises:
-        ConfigurationError: non-positive measure count / negative rms,
-            or an unknown method.
+        ConfigurationError: non-positive measure count or negative rms.
     """
     if n_measures < 1:
         raise ConfigurationError("n_measures must be positive")
     if noise_rms < 0:
         raise ConfigurationError("noise_rms must be non-negative")
-    if method not in ("kernel", "scalar"):
-        raise ConfigurationError(
-            f"unknown method {method!r} (use 'kernel'/'scalar')"
-        )
+    from repro.kernels.montecarlo import (
+        effective_supply_grid,
+        word_grid_mc,
+        word_histogram_grid,
+    )
+
     if rail is None:
         rail = _sense_rail().VDD
     rng = np.random.default_rng(seed)
-    is_vdd = rail is _sense_rail().VDD
-
-    if method == "kernel":
-        from repro.kernels.montecarlo import (
-            effective_supply_grid,
-            word_grid_mc,
-            word_histogram_grid,
-        )
-
-        draws = level + rng.normal(0.0, noise_rms, size=n_measures)
-        v_eff = effective_supply_grid(
-            design, draws, rail="vdd" if is_vdd else "gnd"
-        )
-        words = word_grid_mc(design, v_eff, code=code)
-        return word_histogram_grid(words)
-
-    from repro.core.array import SensorArray
-
-    array = SensorArray(design, rail)
-    counts: Counter[str] = Counter()
-    for _ in range(n_measures):
-        v = level + rng.normal(0.0, noise_rms)
-        kwargs = {"vdd_n": v} if is_vdd else {"gnd_n": v}
-        counts[array.measure(code, **kwargs).word.to_string()] += 1
-    return dict(counts)
+    draws = level + rng.normal(0.0, noise_rms, size=n_measures)
+    v_eff = effective_supply_grid(
+        design, draws, rail="vdd" if rail is _sense_rail().VDD else "gnd"
+    )
+    return word_histogram_grid(word_grid_mc(design, v_eff, code=code))
 
 
 @dataclass(frozen=True)
@@ -187,84 +165,42 @@ def measure_s_curve(design: "SensorDesign", bit: int, *,
                     n_levels: int = 15,
                     n_per_level: int = 200,
                     seed: "int | np.random.SeedSequence" = 11,
-                    method: str = "kernel",
                     backend: "object | str | None" = None) -> SCurve:
     """Sweep nominal levels across one stage's threshold with noise.
 
     The sweep covers ``threshold ± span_sigmas * noise_rms``; each
-    level takes ``n_per_level`` seeded noisy measures.
-    ``method="kernel"`` (default) sweeps through a measurement
-    driver's ``s_curve`` op: ``backend=`` (an instance or registry
-    spec, see :mod:`repro.backends`) names the driver, and unset it is
-    the kernel driver (``$REPRO_BACKEND`` is not read), which batches
-    every draw into one Generator call and one vectorized pass/fail
-    evaluation; the event-sim driver answers every draw with a full
-    PREPARE/SENSE run.  ``method="scalar"`` is the original per-draw
-    loop, the reference the kernel driver equals exactly for the same
-    ``seed``; it takes no ``backend=``.
+    level takes ``n_per_level`` seeded noisy measures, through a
+    measurement driver's ``s_curve`` op: ``backend=`` (an instance or
+    registry spec, see :mod:`repro.backends`) names the driver, and
+    unset it is the kernel driver (``$REPRO_BACKEND`` is not read),
+    which batches every draw into one Generator call and one
+    vectorized pass/fail evaluation, equal to the per-draw loop for
+    the same ``seed``; the event-sim driver answers every draw with a
+    full PREPARE/SENSE run.
 
     Raises:
         ConfigurationError: bad parameters.
     """
     if not 1 <= bit <= design.n_bits:
         raise ConfigurationError(f"bit {bit} outside 1..{design.n_bits}")
-    if method not in ("kernel", "scalar"):
-        raise ConfigurationError(
-            f"unknown method {method!r} (use 'kernel'/'scalar')"
-        )
-    if method == "kernel":
-        from repro.backends import KernelBackend, resolve_backend
+    from repro.backends import KernelBackend, resolve_backend
 
-        bk = resolve_backend(KernelBackend() if backend is None
-                             else backend)
-        bk.configure(design)
-        levels, probs = bk.s_curve(
-            bit, code=code, noise_rms=noise_rms,
-            n_per_level=n_per_level, seed=seed,
-            span_sigmas=span_sigmas, n_levels=n_levels,
-        )
-        return SCurve(bit=bit, levels=tuple(levels),
-                      pass_probability=tuple(probs),
-                      n_per_level=n_per_level)
-    if backend is not None:
-        raise ConfigurationError(
-            "pass either method= or backend=, not both"
-        )
-    if noise_rms <= 0:
-        raise ConfigurationError(
-            "noise_rms must be positive (an S-curve needs noise)"
-        )
-    if n_levels < 5 or n_per_level < 10:
-        raise ConfigurationError("need >= 5 levels and >= 10 measures")
-    from repro.core.array import SensorArray
-
-    center = design.bit_threshold(bit, code)
-    half = span_sigmas * noise_rms
-    levels = np.linspace(center - half, center + half, n_levels)
-    rng = np.random.default_rng(seed)
-    array = SensorArray(design)
-    probs = []
-    for level in levels:
-        draws = level + rng.normal(0.0, noise_rms, size=n_per_level)
-        passes = sum(
-            1 for v in draws
-            if array.bits[bit - 1].measure(code, vdd_n=float(v)).passed
-        )
-        probs.append(passes / n_per_level)
-    return SCurve(
-        bit=bit,
-        levels=tuple(float(v) for v in levels),
-        pass_probability=tuple(probs),
-        n_per_level=n_per_level,
+    bk = resolve_backend(KernelBackend() if backend is None else backend)
+    bk.configure(design)
+    levels, probs = bk.s_curve(
+        bit, code=code, noise_rms=noise_rms, n_per_level=n_per_level,
+        seed=seed, span_sigmas=span_sigmas, n_levels=n_levels,
     )
+    return SCurve(bit=bit, levels=tuple(levels),
+                  pass_probability=tuple(probs), n_per_level=n_per_level)
 
 
 def _s_curve_fit_task(spec: tuple) -> SCurveFit:
     """Picklable adapter: sweep and fit one stage's S-curve."""
-    design, bit, noise_rms, code, seed, n_per_level, method = spec
+    design, bit, noise_rms, code, seed, n_per_level, backend = spec
     return measure_s_curve(design, bit, noise_rms=noise_rms, code=code,
                            seed=seed, n_per_level=n_per_level,
-                           method=method).fit()
+                           backend=backend).fit()
 
 
 def extract_ladder_via_s_curves(design: "SensorDesign", *,
@@ -274,7 +210,6 @@ def extract_ladder_via_s_curves(design: "SensorDesign", *,
                                 n_per_level: int = 150,
                                 workers: int | None = None,
                                 cache: "ResultCache | str | None" = None,
-                                method: str = "kernel",
                                 backend: "object | str | None" = None
                                 ) -> list[SCurveFit]:
     """Tester-style ladder extraction: S-curve fit per stage.
@@ -295,60 +230,37 @@ def extract_ladder_via_s_curves(design: "SensorDesign", *,
     ``seed + bit`` derivation aliased adjacent root seeds: bit 2 of
     ``seed`` shared a stream with bit 1 of ``seed + 1``.)
 
-    ``backend=`` extracts through a measurement driver instead: the
-    stages sweep serially through its ``s_curve`` op (a stateful
-    driver — replay, recording — cannot fan out across processes),
-    memoized per stage when ``cache=`` is given, with the driver's
-    fingerprint folded into every key.  Mutually exclusive with a
-    non-default ``method``.
+    ``backend=`` extracts through a named measurement driver instead of
+    the kernel driver: the stages sweep serially in this process (a
+    stateful driver — replay, recording — cannot fan out across
+    processes), so ``workers`` does not apply, and the driver's
+    fingerprint is folded into every cache key.
     """
     from repro.kernels.montecarlo import MC_SEED_SCHEME, spawn_bit_seeds
 
     bit_seeds = spawn_bit_seeds(seed, design.n_bits)
+    bk = None
     if backend is not None:
-        if method != "kernel":
-            raise ConfigurationError(
-                "pass either method= or backend=, not both"
-            )
         from repro.backends import resolve_backend
 
         bk = resolve_backend(backend)
-        store = resolve_cache(cache)
-        fp = None if store is None \
-            else design_fingerprint(design, backend=bk)
-        fits: list[SCurveFit] = []
-        for bit in range(1, design.n_bits + 1):
-            key = None if store is None else task_key(
-                "s-curve-fit", fp, bit, noise_rms, code,
-                MC_SEED_SCHEME, seed, n_per_level, f"backend:{bk.id}",
-            )
-            if key is not None:
-                hit, value = store.get(key)
-                if hit:
-                    fits.append(value)
-                    continue
-            fit = measure_s_curve(
-                design, bit, noise_rms=noise_rms, code=code,
-                seed=bit_seeds[bit - 1], n_per_level=n_per_level,
-                backend=bk,
-            ).fit()
-            if key is not None:
-                store.put(key, fit)
-            fits.append(fit)
-        return fits
-    specs = [
-        (design, bit, noise_rms, code, bit_seeds[bit - 1],
-         n_per_level, method)
-        for bit in range(1, design.n_bits + 1)
-    ]
+        workers = None
     store = resolve_cache(cache)
     keys = None
     if store is not None:
-        fp = design_fingerprint(design)
+        # The unnamed route's keys name the kernel in the place of the
+        # driver id, so older caches stay warm.
+        fp, tag = ((design_fingerprint(design), "kernel") if bk is None
+                   else (design_fingerprint(design, backend=bk),
+                         f"backend:{bk.id}"))
         keys = [
             task_key("s-curve-fit", fp, bit, noise_rms, code,
-                     MC_SEED_SCHEME, seed, n_per_level, method)
+                     MC_SEED_SCHEME, seed, n_per_level, tag)
             for bit in range(1, design.n_bits + 1)
         ]
+    specs = [
+        (design, bit, noise_rms, code, bit_seeds[bit - 1], n_per_level, bk)
+        for bit in range(1, design.n_bits + 1)
+    ]
     return cached_map(_s_curve_fit_task, specs, keys=keys,
                       cache=store, workers=workers)

@@ -17,6 +17,8 @@ invariant, so :func:`run_yield_study` scores contiguous chunks of dies
 (``workers=``, one chunk per worker) with per-die memoization
 (``cache=``) and returns the same report for every setting — see
 :mod:`repro.runtime`.  Both default to serial, uncached behavior.
+Every chunk is solved by the measurement driver's ``lot_thresholds``
+op (:mod:`repro.backends`), the kernel driver unless one is named.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.thermometer import ThermometerWord, decode_word
 from repro.devices.variation import VariationModel, VariationSample
 from repro.errors import ConfigurationError
-from repro.kernels import ladders, lot_threshold_grid, score_lot_grids
+from repro.kernels import ladders, score_lot_grids
 from repro.runtime import (
     ResultCache,
     design_fingerprint,
@@ -174,11 +176,11 @@ def _scores_from_lot_grid(lot_grid: np.ndarray,
 
 
 def _score_chunk(spec: tuple) -> list[_DieScore]:
-    """Map task (picklable): solve and score one chunk of dies."""
-    design, samples, code, supply_grid, nominal_ladder = spec
+    """Map task: solve one chunk of dies through the configured
+    driver's ``lot_thresholds`` op and score it."""
+    bk, samples, code, supply_grid, nominal_ladder = spec
     return _scores_from_lot_grid(
-        lot_threshold_grid(design, samples, code), supply_grid,
-        nominal_ladder,
+        bk.lot_thresholds(samples, code), supply_grid, nominal_ladder,
     )
 
 
@@ -212,15 +214,18 @@ def run_yield_study(design: "SensorDesign",
             across the code's nominal range.
         seed: Lot seed (deterministic studies).
         backend: Measurement driver (instance or registry spec, see
-            :mod:`repro.backends`) supplying the lot thresholds.  Must
-            advertise the ``lot_thresholds`` capability (the kernel
-            driver and replayed kernel traces do; the event-sim driver
-            does not — :class:`~repro.errors.BackendError` otherwise).
-            A named driver scores the whole lot from one
-            ``lot_thresholds`` call in this process; it uses no cache
-            and no pool, so ``workers``, ``cache``, ``retries`` and
-            ``task_timeout`` do not apply.  ``None`` (and no
-            ``REPRO_BACKEND``) takes the chunked route below.
+            :mod:`repro.backends`) whose ``lot_thresholds`` op solves
+            every chunk.  Must advertise the ``lot_thresholds``
+            capability (the kernel driver and replayed kernel traces
+            do; the event-sim driver does not —
+            :class:`~repro.errors.BackendError` otherwise).  ``None``
+            (and no ``REPRO_BACKEND``) is the kernel driver, chunked,
+            pooled and cached as below.  A named driver may be
+            stateful (recording, replay), so its lot is one chunk
+            solved in this process by one ``lot_thresholds`` call,
+            with no cache and no pool: ``workers``, ``cache``,
+            ``retries``, ``task_timeout`` and ``failure_policy`` do
+            not apply.
         workers: Pool size (<= 1: serial).  The dies missing from the
             cache are split into ``min(workers, missing)`` contiguous
             chunks, each solved and scored as one batch.
@@ -257,59 +262,58 @@ def run_yield_study(design: "SensorDesign",
     lot = variation.sample_lot(n_dies, design.n_bits, seed=seed)
     from repro.backends import BACKEND_ENV, BackendError, resolve_backend
 
-    if backend is not None or os.environ.get(BACKEND_ENV):
-        bk = resolve_backend(backend)
-        if not bk.capabilities().lot_thresholds:
-            raise BackendError(
-                f"backend {bk.id!r} does not characterize mismatch "
-                f"lots (capabilities().lot_thresholds is False)"
-            )
-        # One lot_thresholds op, so a recorded yield study is one
-        # measurement record after its configure record.
-        bk.configure(design)
-        scores = _scores_from_lot_grid(
-            bk.lot_thresholds(lot, code), supply_grid, nominal_ladder
+    bk = resolve_backend(backend)
+    if not bk.capabilities().lot_thresholds:
+        raise BackendError(
+            f"backend {bk.id!r} does not characterize mismatch "
+            f"lots (capabilities().lot_thresholds is False)"
         )
+    bk.configure(design)
+    if backend is not None or os.environ.get(BACKEND_ENV):
+        # A named driver solves the lot as one serial, uncached chunk,
+        # so a recorded yield study is one measurement record after
+        # its configure record.
+        store, workers, retries, task_timeout, failure_policy = \
+            None, 1, 0, None, "raise"
     else:
-        # Cache hits first.  The missing dies go in contiguous chunks,
-        # one per worker (one die per chunk under "partial"), and a
-        # chunk's die scores are put, as one file, the moment it
-        # completes.
         store = resolve_cache(cache)
-        found: list[_DieScore | None] = [None] * n_dies
-        keys: list[str] = []
-        if store is not None:
-            fp = design_fingerprint(design)
-            keys = [task_key("die-score", fp, sample, code, supply_grid)
-                    for sample in lot]
-            for i, key in enumerate(keys):
-                hit, value = store.get(key)
-                if hit:
-                    found[i] = value
-        missing = [i for i, score in enumerate(found) if score is None]
-        if missing:
-            n = (len(missing) if failure_policy == "partial"
-                 else min(resolve_workers(workers), len(missing)))
-            bounds = [len(missing) * c // n for c in range(n + 1)]
-            chunks = [missing[a:b] for a, b in zip(bounds, bounds[1:])]
+    # Cache hits first.  The missing dies go in contiguous chunks, one
+    # per worker (one die per chunk under "partial"), and a chunk's
+    # die scores are put, as one file, the moment it completes.
+    found: list[_DieScore | None] = [None] * n_dies
+    keys: list[str] = []
+    if store is not None:
+        fp = design_fingerprint(design)
+        keys = [task_key("die-score", fp, sample, code, supply_grid)
+                for sample in lot]
+        for i, key in enumerate(keys):
+            hit, value = store.get(key)
+            if hit:
+                found[i] = value
+    missing = [i for i, score in enumerate(found) if score is None]
+    if missing:
+        n = (len(missing) if failure_policy == "partial"
+             else min(resolve_workers(workers), len(missing)))
+        bounds = [len(missing) * c // n for c in range(n + 1)]
+        chunks = [missing[a:b] for a, b in zip(bounds, bounds[1:])]
 
-            def on_result(c: int, chunk_scores: list[_DieScore]) -> None:
-                for i, score in zip(chunks[c], chunk_scores):
-                    found[i] = score
-                if store is not None:
-                    store.put_many({keys[i]: score for i, score
-                                    in zip(chunks[c], chunk_scores)})
+        def on_result(c: int, chunk_scores: list[_DieScore]) -> None:
+            for i, score in zip(chunks[c], chunk_scores):
+                found[i] = score
+            if store is not None:
+                store.put_many({keys[i]: score for i, score
+                                in zip(chunks[c], chunk_scores)})
 
-            resilient_map(
-                _score_chunk,
-                [(design, [lot[i] for i in chunk], code, supply_grid,
-                  nominal_ladder) for chunk in chunks],
-                workers=workers, retries=retries,
-                task_timeout=task_timeout, failure_policy=failure_policy,
-                on_result=on_result,
-            )
-        # Dies that failed under "partial" stay None and drop out.
-        scores = [score for score in found if score is not None]
+        resilient_map(
+            _score_chunk,
+            [(bk, [lot[i] for i in chunk], code, supply_grid,
+              nominal_ladder) for chunk in chunks],
+            workers=workers, retries=retries,
+            task_timeout=task_timeout, failure_policy=failure_policy,
+            on_result=on_result,
+        )
+    # Dies that failed under "partial" stay None and drop out.
+    scores = [score for score in found if score is not None]
     if not scores:
         raise ConfigurationError(
             "every die failed scoring; nothing to report"

@@ -20,6 +20,7 @@ one-spec workflow.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,7 +115,9 @@ class CampaignSpec:
 
     Attributes mirror the schema tables (see
     :mod:`repro.campaign.schema`); ``stages`` is kept in declaration
-    order, :meth:`topo_order` gives the execution order.
+    order, :meth:`topo_order` gives the execution order.  The spec is
+    frozen, so :meth:`spec_hash` and :meth:`topo_order` are computed
+    once per spec and then read back.
     """
 
     name: str
@@ -147,6 +150,10 @@ class CampaignSpec:
         spelling, so every hash and stage key written before the mode
         was renamed ``parallel`` still holds.
         """
+        return self._spec_hash
+
+    @functools.cached_property
+    def _spec_hash(self) -> str:
         return stable_hash((
             CAMPAIGN_SCHEMA,
             dataclasses.replace(self, chaos=None, source="<spec>",
@@ -164,6 +171,10 @@ class CampaignSpec:
 
     def topo_order(self) -> tuple[str, ...]:
         """Dependency-respecting execution order (validated acyclic)."""
+        return self._topo_order
+
+    @functools.cached_property
+    def _topo_order(self) -> tuple[str, ...]:
         raw = {"schema": CAMPAIGN_SCHEMA, "name": self.name,
                "stages": [{"id": s.id, "kind": s.kind,
                            "needs": list(s.needs)}

@@ -373,54 +373,6 @@ def _bench_names() -> list[str] | None:
                   for p in bench_dir.glob("bench_*.py"))
 
 
-def _bench_all(args: argparse.Namespace) -> int:
-    """Run every perf bench exposing ``run()`` and merge one report.
-
-    The perf-regression benches share the ``run(*, smoke, repeats)``
-    contract (each gates agreement before timing and writes its own
-    ``BENCH_*`` report); figure benches without ``run`` are skipped.
-    The merged payload lands at ``benchmarks/reports/BENCH_all.json``.
-    """
-    import importlib
-
-    names = _bench_names()
-    if names is None:
-        print("benchmarks/ not importable; run from the repository "
-              "root, e.g. PYTHONPATH=src python -m repro bench --all")
-        return 2
-    from benchmarks._perf import write_bench_json
-
-    merged: dict[str, object] = {}
-    skipped: list[str] = []
-    failures: list[str] = []
-    for name in names:
-        module = importlib.import_module(f"benchmarks.bench_{name}")
-        runner = getattr(module, "run", None)
-        if not callable(runner):
-            skipped.append(name)
-            continue
-        print(f"== bench {name} ==", flush=True)
-        try:
-            merged[name] = runner(smoke=args.smoke,
-                                  repeats=args.repeats)
-        except Exception as exc:
-            failures.append(name)
-            merged[name] = {"error": f"{type(exc).__name__}: {exc}"}
-            print(f"bench {name} FAILED: {exc}")
-    path = write_bench_json("BENCH_all", {
-        "bench": "all",
-        "mode": "smoke" if args.smoke else "full",
-        "benches": merged,
-        "skipped": skipped,
-    })
-    print(f"ran {len(merged)} benches ({len(skipped)} without run() "
-          f"skipped); merged report: {path}")
-    if failures:
-        print("FAILED: " + ", ".join(failures))
-        return 1
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run one perf bench by name: ``repro bench kernels --smoke``.
 
@@ -429,13 +381,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     bench exposing ``main(argv)`` (the perf-regression benches) gets
     the remaining arguments; older figure benches without one are run
     through pytest.  ``repro bench --list`` enumerates what is
-    available; ``repro bench --all`` runs every bench with a ``run()``
-    entry point and merges one report.
+    available.
     """
     import importlib
 
-    if args.all:
-        return _bench_all(args)
     if args.list or args.name is None:
         names = _bench_names()
         if names is None:
@@ -900,13 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "benchmarks/bench_kernels.py")
     p.add_argument("--list", action="store_true",
                    help="list available bench names and exit")
-    p.add_argument("--all", action="store_true",
-                   help="run every perf bench exposing run() and merge "
-                        "one report under benchmarks/reports/")
-    p.add_argument("--smoke", action="store_true",
-                   help="with --all: CI-sized grids")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="with --all: timed repeats per workload")
     p.add_argument("bench_args", nargs=argparse.REMAINDER,
                    help="arguments passed through to the bench "
                         "(e.g. --smoke --assert-speedup 3)")

@@ -52,10 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Entries kept before the least recently used one is evicted.  The
 #: e2ebench workloads end with 10 entries after a ``serve`` round, 147
 #: after a ``paper`` pass and 1,008 after a ``campaign`` run, 1,000 of
-#: them the die rows of its 1,000-die ``yield_study`` stage.  A yield
-#: lot of more dies than this on a named backend pushes every other
-#: entry out, to be solved again on its next read.  Each entry holds
-#: at most one ladder's ``bits`` floats.
+#: them the die rows of its 1,000-die ``yield_study`` stage.  Every
+#: yield lot solved in this process (serial, or on a named backend;
+#: pool workers fill their own copies) stores its die rows here, so a
+#: lot of more dies than this pushes every other entry out, to be
+#: solved again on its next read.  Each entry holds at most one
+#: ladder's ``bits`` floats.
 MAX_ENTRIES = 4096
 
 _MISSING = object()

@@ -109,21 +109,21 @@ class _LotWithout:
 
 
 def test_partial_policy_drops_only_the_failing_die(design, monkeypatch):
-    import repro.analysis.yield_study as ys
+    from repro.backends import KernelBackend
 
     n, seed = 8, 5
     lot = MILD.sample_lot(n, design.n_bits, seed=seed)
     chosen = lot[3]
     reference = run_yield_study(design, _LotWithout(lot, chosen),
                                 n_dies=n - 1, seed=seed)
-    real = ys.lot_threshold_grid
+    real = KernelBackend.lot_thresholds
 
-    def sabotaged(design, samples, code, **kwargs):
+    def sabotaged(self, samples, code):
         if any(s == chosen for s in samples):
             raise ValueError("injected solve failure")
-        return real(design, samples, code, **kwargs)
+        return real(self, samples, code)
 
-    monkeypatch.setattr(ys, "lot_threshold_grid", sabotaged)
+    monkeypatch.setattr(KernelBackend, "lot_thresholds", sabotaged)
     report = run_yield_study(design, MILD, n_dies=n, seed=seed,
                              workers=1, failure_policy="partial")
     assert report.n_dies == n - 1
@@ -132,7 +132,7 @@ def test_partial_policy_drops_only_the_failing_die(design, monkeypatch):
     def always_fails(*args, **kwargs):
         raise ValueError("injected solve failure")
 
-    monkeypatch.setattr(ys, "lot_threshold_grid", always_fails)
+    monkeypatch.setattr(KernelBackend, "lot_thresholds", always_fails)
     with pytest.raises(ConfigurationError):
         run_yield_study(design, MILD, n_dies=n, seed=seed, workers=1,
                         failure_policy="partial")
@@ -156,3 +156,21 @@ def test_recorded_yield_study_is_one_lot_thresholds_record(design):
     assert run_yield_study(design, model, n_dies=6, seed=5,
                            backend=replay) == report
     assert replay.exhausted
+
+
+def test_named_driver_ignores_pool_and_cache(design, tmp_path):
+    """A named driver stays one in-process ``lot_thresholds`` call
+    under ``workers=`` and ``cache=``: a pool worker would record into
+    its own copy of the trace, and a cache hit would skip the record."""
+    from repro.backends import KernelBackend, RecordingBackend
+    from repro.runtime import ResultCache
+
+    cache = ResultCache(tmp_path)
+    recorder = RecordingBackend(KernelBackend())
+    report = run_yield_study(design, MILD, n_dies=6, seed=5,
+                             backend=recorder, workers=2, cache=cache)
+    assert [r["op"] for r in recorder.trace.records] == \
+        ["configure", "lot_thresholds"]
+    assert cache.entries() == []
+    assert (cache.hits, cache.misses) == (0, 0)
+    assert report == run_yield_study(design, MILD, n_dies=6, seed=5)

@@ -10,6 +10,11 @@ arithmetic) — not merely agree within a tolerance.
 import numpy as np
 import pytest
 
+from benchmarks._oracles import (
+    extract_ladder_scalar,
+    measure_s_curve_scalar,
+    word_histogram_scalar,
+)
 from repro.analysis.repeatability import (
     extract_ladder_via_s_curves,
     measure_s_curve,
@@ -93,14 +98,8 @@ def test_word_histogram_kernel_equals_scalar(design, rail):
     level = design.bit_threshold(4, 3)
     kw = dict(level=level, noise_rms=8e-3, n_measures=150, seed=21,
               rail=rail)
-    assert word_histogram(design, method="kernel", **kw) \
-        == word_histogram(design, method="scalar", **kw)
-
-
-def test_word_histogram_rejects_unknown_method(design):
-    with pytest.raises(ConfigurationError):
-        word_histogram(design, level=1.0, noise_rms=1e-3,
-                       method="simd")
+    assert word_histogram(design, **kw) \
+        == word_histogram_scalar(design, **kw)
 
 
 # -- s-curve parity ------------------------------------------------------------
@@ -111,11 +110,9 @@ def test_measure_s_curve_kernel_equals_scalar(design, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "no-such-driver")
     for bit in (1, design.n_bits // 2, design.n_bits):
         kernel = measure_s_curve(design, bit, noise_rms=5e-3,
-                                 n_per_level=80, seed=11,
-                                 method="kernel")
-        scalar = measure_s_curve(design, bit, noise_rms=5e-3,
-                                 n_per_level=80, seed=11,
-                                 method="scalar")
+                                 n_per_level=80, seed=11)
+        scalar = measure_s_curve_scalar(design, bit, noise_rms=5e-3,
+                                        n_per_level=80, seed=11)
         assert kernel == scalar
 
 
@@ -168,10 +165,9 @@ def test_spawn_bit_seeds_no_adjacent_root_aliasing():
 
 def test_extract_ladder_serial_pool_kernel_identical(design):
     kw = dict(noise_rms=5e-3, n_per_level=40)
-    kernel = extract_ladder_via_s_curves(design, method="kernel", **kw)
-    scalar = extract_ladder_via_s_curves(design, method="scalar", **kw)
-    pooled = extract_ladder_via_s_curves(design, method="kernel",
-                                         workers=2, **kw)
+    kernel = extract_ladder_via_s_curves(design, **kw)
+    scalar = extract_ladder_scalar(design, **kw)
+    pooled = extract_ladder_via_s_curves(design, workers=2, **kw)
     assert kernel == scalar == pooled
 
 

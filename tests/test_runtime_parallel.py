@@ -254,6 +254,7 @@ def test_cache_clear_and_stats(tmp_path):
 
 def test_yield_study_cache_roundtrip(design, tmp_path, monkeypatch):
     import repro.analysis.yield_study as ys
+    from repro.backends import KernelBackend
 
     model = VariationModel()
     uncached = run_yield_study(design, model, n_dies=8, seed=11)
@@ -270,7 +271,7 @@ def test_yield_study_cache_roundtrip(design, tmp_path, monkeypatch):
     def _boom(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("yield scoring ran on a warm cache")
 
-    monkeypatch.setattr(ys, "lot_threshold_grid", _boom)
+    monkeypatch.setattr(KernelBackend, "lot_thresholds", _boom)
     monkeypatch.setattr(ys, "resilient_map", _boom)
     warm = ResultCache(tmp_path)
     for workers in (1, 2):
