@@ -36,7 +36,9 @@ Registered kinds:
 ``s_curve``           stochastic trip-probability ladders through the
                       driver's ``s_curve`` capability
 ``telemetry``         synthetic droop trace through the streaming
-                      :class:`~repro.telemetry.pipeline.TelemetryPipeline`
+                      :class:`~repro.telemetry.pipeline.TelemetryPipeline`;
+                      the payload reads its totals and events, so the
+                      stage builds no quantile estimators
 ``fault_screen``      stuck-at injection + production screen
 ``service_drill``     a real ``repro serve`` subprocess under client
                       load with seeded kills/poison (nondeterministic:
@@ -352,8 +354,9 @@ def _run_telemetry(ctx: StageContext,
         n_samples=n_samples, n_droops=n_droops, depth=depth,
         noise_rms=noise_rms, seed=seed,
     )
+    # The payload reads totals and events only: no P² estimators.
     pipeline = TelemetryPipeline(ctx.design, code=code, tech=ctx.tech,
-                                 chunk=chunk)
+                                 chunk=chunk, quantiles=())
     snapshot = pipeline.run(array_source("site0", times, volts,
                                          block=chunk))
     events = pipeline.events

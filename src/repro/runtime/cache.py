@@ -58,6 +58,10 @@ CACHE_SCHEMA = "repro-cache/v1"
 #: Environment variable naming the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
+#: How many :meth:`ResultCache.put_many` files one cache keeps
+#: unpickled (first in, first out).
+_MEMO_FILES = 4
+
 #: Per-root append-only counter log (see :meth:`ResultCache.flush_stats`):
 #: every process that used the cache appends its hit/miss/error deltas,
 #: so ``repro cache`` can report campaign-lifetime totals instead of the
@@ -335,9 +339,10 @@ class ResultCache:
         # place only, because the finalizer holds this very list.
         self._unflushed = [0, 0, 0]  # hits, misses, errors
         self._finalizer: weakref.finalize | None = None
-        #: ``(stat stamp, batch)`` of the shared file read last, so a
-        #: warm lot unpickles each :meth:`put_many` file once.
-        self._memo: tuple[tuple[int, ...], _Shared] | None = None
+        #: stat stamp -> batch of the last ``_MEMO_FILES`` shared
+        #: files read, oldest first, so a warm lot unpickles each
+        #: :meth:`put_many` file once even when its reads interleave.
+        self._memo: dict[tuple[int, ...], _Shared] = {}
 
     # -- persistent counters ----------------------------------------------
 
@@ -435,9 +440,9 @@ class ResultCache:
         A corrupt entry counts as a miss (plus ``errors``) and is
         deleted so the follow-up :meth:`put` starts clean.  An entry
         that names a :meth:`put_many` file serves its own key's value;
-        the file read last is kept unpickled, keyed on its device,
-        inode, size and mtime, so the batch's other keys skip the
-        unpickle.
+        the last ``_MEMO_FILES`` such files read are kept unpickled,
+        keyed on their device, inode, size and mtime, so the batches'
+        other keys skip the unpickle.
         """
         path = self._path(key)
         try:
@@ -445,12 +450,14 @@ class ResultCache:
                 st = os.fstat(fh.fileno())
                 stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
                 memo = self._memo
-                if memo is not None and memo[0] == stamp:
-                    value = memo[1]
-                else:
+                value = memo.get(stamp)
+                if value is None:
                     value = pickle.load(fh)
+                    if type(value) is _Shared:
+                        if len(memo) >= _MEMO_FILES:
+                            del memo[next(iter(memo))]
+                        memo[stamp] = value
                 if type(value) is _Shared:
-                    self._memo = (stamp, value)
                     value = value[key]
         except FileNotFoundError:
             self._count(misses=1)
@@ -521,7 +528,7 @@ class ResultCache:
             self._put_many(items)
 
     def _put_many(self, items: dict[str, Any]) -> None:
-        self._memo = None  # a new file may reuse the memo's inode
+        self._memo.clear()  # a new file may reuse a memo's inode
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, shared = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -590,7 +597,7 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        self._memo = None
+        self._memo.clear()
         removed = 0
         for path in self.entries():
             try:

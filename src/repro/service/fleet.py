@@ -358,7 +358,8 @@ def execute_job(payload: dict,
             noise_rms=float(params.get("noise_mv", 5.0)) * 1e-3,
             seed=seed,
         )
-        pipeline = TelemetryPipeline(design, code=code)
+        # The response reads p99 only: one P² estimator.
+        pipeline = TelemetryPipeline(design, code=code, quantiles=(0.99,))
         site = str(params.get("site", "svc"))
         pipeline.ingest_all(array_source(site, times, volts))
         pipeline.flush()

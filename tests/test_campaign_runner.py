@@ -180,3 +180,53 @@ def test_other_stage_kinds_execute(tmp_path, kind):
     run = run_campaign(make_spec(stages=stages),
                        out_dir=tmp_path / "out")
     assert run.ok, run.record("s").volatile
+
+
+def test_telemetry_stage_runs_no_quantile_estimator(tmp_path, monkeypatch):
+    """The stage's payload reads totals and events only, so it builds
+    no P² estimator, and its payload is the default pipeline's."""
+    from repro.core.calibration import paper_design
+    from repro.telemetry import (
+        TelemetryPipeline,
+        array_source,
+        synthetic_droop_trace,
+    )
+    from repro.telemetry.aggregate import P2Quantile
+
+    params = {"n_samples": 6000, "n_droops": 2, "noise_rms": 2e-3}
+    stages = [{"id": "s", "kind": "telemetry", "params": params}]
+    spec = make_spec(stages=stages)
+
+    def no_p2(self, values):
+        raise AssertionError("the telemetry stage ran a P² estimator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(P2Quantile, "update_block", no_p2)
+        run = run_campaign(spec, out_dir=tmp_path / "out",
+                           execution="serial")
+    assert run.ok, run.record("s").volatile
+
+    times, volts, starts = synthetic_droop_trace(
+        n_samples=6000, n_droops=2, depth=0.15, noise_rms=2e-3,
+        seed=spec.seed,
+    )
+    pipeline = TelemetryPipeline(paper_design(), code=3, chunk=1024)
+    snapshot = pipeline.run(array_source("site0", times, volts,
+                                         block=1024))
+    assert snapshot["sites"]["site0"]["quantiles"]  # P² did run here
+    assert run.record("s").payload == {
+        "n_samples": 6000,
+        "n_droops_injected": 2,
+        "seed": spec.seed,
+        "code": 3,
+        "droop_starts_injected": [float(t) for t in starts],
+        "totals": snapshot["totals"],
+        "events": [
+            {"site": e.site, "start": float(e.start),
+             "end": float(e.end), "n_samples": int(e.n_samples),
+             "depth_v": float(e.depth_v),
+             "worst_rung": int(e.worst_rung)}
+            for e in pipeline.events
+        ],
+    }
+    assert snapshot["totals"]["events"] > 0

@@ -140,6 +140,36 @@ def test_get_memo_unpickles_each_shared_file_once(tmp_path, monkeypatch):
     assert len(loads) == 2
 
 
+def test_get_memo_survives_alternating_shared_files(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    cache.put_many(ITEMS)
+    cache.put_many({f"b{i}": i for i in range(4)})
+    loads = _count_loads(monkeypatch)
+    fresh = ResultCache(tmp_path)
+    for _ in range(3):
+        for i in range(4):
+            assert fresh.get(f"k{i}") == (True, ITEMS[f"k{i}"])
+            assert fresh.get(f"b{i}") == (True, i)
+    assert len(loads) == 2
+
+
+def test_get_memo_holds_a_fixed_number_of_files(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    n_files = cache_mod._MEMO_FILES + 1
+    for f in range(n_files):
+        cache.put_many({f"f{f}k{i}": (f, i) for i in range(2)})
+    loads = _count_loads(monkeypatch)
+    fresh = ResultCache(tmp_path)
+    for f in range(n_files):
+        assert fresh.get(f"f{f}k0") == (True, (f, 0))
+    assert len(fresh._memo) == cache_mod._MEMO_FILES
+    # The first file was dropped, first in first out; the last is kept.
+    assert fresh.get(f"f{n_files - 1}k1")[0]
+    assert len(loads) == n_files
+    assert fresh.get("f0k1")[0]
+    assert len(loads) == n_files + 1
+
+
 # -- a lot on the cache ----------------------------------------------------
 
 N_DIES = 8

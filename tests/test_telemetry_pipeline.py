@@ -105,6 +105,32 @@ def test_chunk_boundaries_do_not_change_decode(design, droop_trace):
     assert np.array_equal(runs[0], runs[2])
 
 
+@pytest.mark.parametrize("quantiles", [(), (0.99,)])
+def test_fewer_quantiles_change_no_other_aggregate(design, droop_trace,
+                                                   quantiles):
+    """Each P² estimator is independent: dropping some leaves every
+    other aggregate, and the estimators kept, bit-identical."""
+    times, volts, _ = droop_trace
+
+    def run(**kwargs):
+        pipeline = TelemetryPipeline(design, **kwargs)
+        snap = pipeline.run(array_source("s", times, volts))
+        return pipeline, snap
+
+    full, full_snap = run()
+    trimmed, snap = run(quantiles=quantiles)
+    assert snap["totals"] == full_snap["totals"]
+    assert snap["totals"]["events"] > 0
+    assert trimmed.events == full.events
+    site, full_site = snap["sites"]["s"], full_snap["sites"]["s"]
+    for name in ("stats", "histogram", "baseline", "events"):
+        assert site[name] == full_site[name]
+    assert site["quantiles"] == {
+        repr(q): full_site["quantiles"][repr(q)] for q in quantiles
+    }
+    assert snap["config"]["quantiles"] == list(quantiles)
+
+
 # -- droop recovery ------------------------------------------------------
 
 
