@@ -7,7 +7,10 @@ level — "in principle similar to a flash A/D converter" (§III-A).
 
 Like the single bit, the array has an analytic path
 (:class:`SensorArray`) for sweeps and an event-driven path
-(:class:`SensorArrayHarness`) for waveform-accurate runs.
+(:class:`SensorArrayHarness`) for waveform-accurate runs.  The
+event-driven path is the single bit's PREPARE/SENSE sequencer
+(:mod:`repro.core.sensor`) run over all N stages; this module only
+wraps each instant's stage measures as an :class:`ArrayMeasure`.
 """
 
 from __future__ import annotations
@@ -20,21 +23,20 @@ from repro.analysis.thermometer import (
     decode_word,
 )
 from repro.core.calibration import SensorDesign
-from repro.core.pulsegen import PulseGenerator
 from repro.core.sensor import (
     BitMeasure,
     SenseRail,
     SensorBit,
-    bind_noisy_rails,
+    _PrepareSense,
     sample_bit,
 )
 from repro.devices.technology import Technology
 from repro.devices.variation import VariationSample
-from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import SimulationEngine
-from repro.sim.netlist import Netlist
+from repro.errors import ConfigurationError
+# Not called here (the harness's engine is built in repro.core.sensor);
+# the engine-oracle test patches this name in every module it lists.
+from repro.sim.engine import SimulationEngine  # noqa: F401
 from repro.sim.waveform import Waveform
-from repro.units import NS
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,12 @@ class SensorArray:
                              self.tech)
 
 
-class SensorArrayHarness:
+class SensorArrayHarness(_PrepareSense):
     """Event-driven N-bit array (shared P/CP, per-bit DS and OUT).
+
+    Every stage of the event-driven sequencer, stage ``b`` named with
+    suffix ``b`` (instances ``inv{b}``/``ff{b}``, nets ``DS{b}``/
+    ``OUT{b}``).
 
     Args:
         design: Calibrated sensor design.
@@ -183,69 +189,21 @@ class SensorArrayHarness:
             the source of real thermometer bubbles.
     """
 
-    PREPARE_LEAD = 2.0 * NS
-    CP_PULSE_WIDTH = 0.4 * NS
-
     def __init__(self, design: SensorDesign,
                  rail: SenseRail = SenseRail.VDD,
                  tech: Technology | None = None,
                  variation: VariationSample | None = None) -> None:
-        self.design = design
-        self.rail = rail
-        self.tech = tech if tech is not None else design.tech
         self.variation = variation
         if variation is not None and variation.n_instances < design.n_bits:
             raise ConfigurationError(
                 f"variation sample has {variation.n_instances} instances; "
                 f"need at least {design.n_bits}"
             )
-        self.array = SensorArray(design, rail, tech)
-        # Built once: run_measures needs the corner-realized CP skew and
-        # the sampling window (the CP-route delay builds a flip-flop).
-        self.pulse_generator = PulseGenerator(design, self.tech)
-        self._window_pad = (design.cp_route_delay + max(design.delay_codes)
-                            + 0.5 * NS)
-        self._build()
-
-    def _inv_tech(self, bit: int) -> Technology:
-        if self.variation is None:
-            return self.tech
-        return self.variation.technology_for(self.tech, bit - 1)
-
-    def _build(self) -> None:
-        design = self.design
-        nl = Netlist(f"sensor_array_{self.rail.value}")
-        nominal = design.tech.vdd_nominal
-        nl.add_supply("VDD", nominal)
-        nl.add_supply("GND", 0.0, is_ground=True)
-        nl.add_supply("VDDN", nominal)
-        nl.add_supply("GNDN", 0.0, is_ground=True)
-
-        nl.add_net("P")
-        nl.add_net("CP")
-        nl.add_net("CPD")
-        nl.mark_external_input("P")
-        nl.mark_external_input("CP")
-
-        sample_ff = design.sense_flipflop(self.tech)
-        cp_fanout = design.n_bits * sample_ff.pin("CP").cap
-        route = design.cp_route_element(self.tech, trim_load=cp_fanout,
-                                        name="CProute")
-        nl.add_instance("route", route, {"A": "CP", "Y": "CPD"},
-                        vdd="VDD", gnd="GND")
-        inv_vdd, inv_gnd = (("VDDN", "GND") if self.rail is SenseRail.VDD
-                            else ("VDD", "GNDN"))
-        for b in range(1, design.n_bits + 1):
-            nl.add_net(f"DS{b}", extra_cap=design.load_caps[b - 1])
-            nl.add_net(f"OUT{b}")
-            inv = design.sensor_inverter(self._inv_tech(b), name=f"INV{b}")
-            ff = design.sense_flipflop(self.tech, name=f"FF{b}")
-            nl.add_instance(f"inv{b}", inv, {"A": "P", "Y": f"DS{b}"},
-                            vdd=inv_vdd, gnd=inv_gnd)
-            nl.add_instance(f"ff{b}", ff,
-                            {"D": f"DS{b}", "CP": "CPD", "Q": f"OUT{b}"},
-                            vdd="VDD", gnd="GND")
-        self.netlist = nl
+        super().__init__(
+            design, rail, tech, f"sensor_array_{rail.value}",
+            tuple((b, str(b)) for b in range(1, design.n_bits + 1)),
+            variation,
+        )
 
     def run_measures(self, code: int, measure_times: list[float], *,
                      vdd_n: Waveform | float | None = None,
@@ -256,92 +214,17 @@ class SensorArrayHarness:
         Returns one :class:`ArrayMeasure` per instant, word bits ordered
         bit 1 first (use ``word.to_string()`` for the paper's MSB-first
         rendering).  An omitted ``vdd_n``/``gnd_n`` is the nominal rail
-        (:func:`~repro.core.sensor.bind_noisy_rails`).
+        (:func:`~repro.core.sensor.bind_noisy_rails`).  The sequencing
+        and errors are
+        :meth:`~repro.core.sensor.SensorBitHarness.run_measures`'s.
         """
-        if not measure_times:
-            raise ConfigurationError("measure_times must be non-empty")
-        times = list(measure_times)
-        if any(t2 - t1 < self.PREPARE_LEAD + 2 * self.CP_PULSE_WIDTH
-               for t1, t2 in zip(times, times[1:])):
-            raise ConfigurationError(
-                "measure_times too dense for PREPARE/SENSE sequencing"
+        return [
+            ArrayMeasure(
+                time=t_m,
+                word=ThermometerWord.from_samples(
+                    tuple(1 if m.passed else 0 for m in measures)),
+                bit_measures=measures,
             )
-        if times[0] < self.PREPARE_LEAD:
-            raise ConfigurationError(
-                f"first measure must be at or after t={self.PREPARE_LEAD}"
-            )
-        bind_noisy_rails(self.netlist, vdd_n, gnd_n)
-        engine = SimulationEngine(self.netlist)
-        rail = self.rail
-        engine.set_initial("P", rail.prepare_p)
-        engine.set_initial("CP", 0)
-        engine.set_initial("CPD", 0)
-        for b in range(1, self.design.n_bits + 1):
-            engine.set_initial(f"DS{b}", rail.prepare_ds)
-            engine.set_initial(f"OUT{b}", 0)
-
-        # Corner-realized PG skew (see SensorBitHarness.run_measures).
-        skew = self.pulse_generator.skew(code)
-        for t_m in times:
-            t_prep = t_m - self.PREPARE_LEAD
-            if t_prep > 0:
-                engine.schedule_stimulus("P", rail.prepare_p, t_prep)
-            engine.schedule_stimulus(
-                "CP", 1, t_prep + skew + self.PREPARE_LEAD / 2
-            )
-            engine.schedule_stimulus(
-                "CP", 0,
-                t_prep + skew + self.PREPARE_LEAD / 2 + self.CP_PULSE_WIDTH,
-            )
-            engine.schedule_stimulus("P", rail.sense_p, t_m)
-            engine.schedule_stimulus("CP", 1, t_m + skew)
-            engine.schedule_stimulus("CP", 0,
-                                     t_m + skew + self.CP_PULSE_WIDTH)
-        engine.run(times[-1] + self.PREPARE_LEAD + 4 * self.CP_PULSE_WIDTH)
-        return self._collect(engine, times)
-
-    def _collect(self, engine: SimulationEngine,
-                 times: list[float]) -> list[ArrayMeasure]:
-        design = self.design
-        window_pad = self._window_pad
-        out: list[ArrayMeasure] = []
-        for t_m in times:
-            measures: list[BitMeasure] = []
-            for b in range(1, design.n_bits + 1):
-                samples = [
-                    s for s in engine.trace.samples_for(f"ff{b}")
-                    if t_m <= s.time <= t_m + window_pad
-                ]
-                if not samples:
-                    raise SimulationError(
-                        f"bit {b}: no SENSE sample at t={t_m}"
-                    )
-                rec = samples[0]
-                ds_edges = [
-                    (t, v) for t, v in engine.trace.transitions(f"DS{b}")
-                    if t > t_m and v == (1 - self.rail.prepare_ds)
-                ]
-                measures.append(BitMeasure(
-                    passed=rec.value == self.rail.pass_value,
-                    value=rec.value,
-                    outcome=rec.outcome,
-                    ds_delay=(ds_edges[0][0] - t_m) if ds_edges else None,
-                    out_delay=rec.clk_to_q,
-                    setup_margin=rec.setup_margin,
-                ))
-            word = ThermometerWord.from_samples(
-                tuple(1 if m.passed else 0 for m in measures)
-            )
-            out.append(ArrayMeasure(
-                time=t_m, word=word, bit_measures=tuple(measures)
-            ))
-        return out
-
-    def measure_once(self, code: int, *,
-                     vdd_n: Waveform | float | None = None,
-                     gnd_n: Waveform | float | None = None
-                     ) -> ArrayMeasure:
-        """One array measurement (convenience wrapper)."""
-        return self.run_measures(
-            code, [2 * self.PREPARE_LEAD], vdd_n=vdd_n, gnd_n=gnd_n
-        )[0]
+            for t_m, measures in self._sense(code, measure_times,
+                                             vdd_n, gnd_n)
+        ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.array import SensorArrayHarness
 from repro.core.calibration import SensorDesign
-from repro.core.sensor import SenseRail, bind_noisy_rails
+from repro.core.sensor import SenseRail
 from repro.devices.technology import Technology
 from repro.errors import ConfigurationError
 from repro.kernels import ladders
@@ -147,17 +147,11 @@ class FaultInjector:
                 stuck-at-fail faults).
         """
         h = self.harness
-        # Patch the harness's engine construction to apply the force:
-        # run_measures builds its own engine, so screening replays its
-        # scheduling with an injected hook.
-        from repro.sim.engine import SimulationEngine
-
-        bind_noisy_rails(h.netlist, vdd_n, gnd_n)
-        engine = SimulationEngine(h.netlist)
+        # The harness's engine and stimulus schedule from a screen's own
+        # initial state: settled nets, every OUT at the failing value,
+        # the armed fault forced.
+        engine = h._engine(vdd_n, gnd_n)
         rail = self.rail
-        engine.set_initial("P", rail.prepare_p)
-        engine.set_initial("CP", 0)
-        engine.set_initial("CPD", 0)
         engine.settle()
         for b in range(1, self.design.n_bits + 1):
             engine.set_initial(f"OUT{b}", 1 - rail.pass_value)
@@ -165,32 +159,20 @@ class FaultInjector:
 
         skew = h.pulse_generator.skew(code)
         t_m = 2 * h.PREPARE_LEAD
-        t_prep = t_m - h.PREPARE_LEAD
-        engine.schedule_stimulus("P", rail.prepare_p, t_prep)
-        engine.schedule_stimulus(
-            "CP", 1, t_prep + skew + h.PREPARE_LEAD / 2
-        )
-        engine.schedule_stimulus(
-            "CP", 0, t_prep + skew + h.PREPARE_LEAD / 2
-            + h.CP_PULSE_WIDTH
-        )
-        engine.schedule_stimulus("P", rail.sense_p, t_m)
-        engine.schedule_stimulus("CP", 1, t_m + skew)
-        engine.schedule_stimulus("CP", 0, t_m + skew + h.CP_PULSE_WIDTH)
+        h._schedule_stimulus(engine, skew, [t_m])
         engine.run(t_m + h.PREPARE_LEAD)
 
-        def word_at(t_lo: float, t_hi: float) -> list[int]:
-            bits = []
-            for b in range(1, self.design.n_bits + 1):
-                v = engine.trace.value_at(f"OUT{b}",
-                                          t_hi)
-                bits.append(1 if v == rail.pass_value else 0)
-            return bits
+        def word_at(t: float) -> list[int]:
+            return [1 if engine.trace.value_at(f"OUT{b}", t)
+                    == rail.pass_value else 0
+                    for b in range(1, self.design.n_bits + 1)]
 
-        t_prep_done = t_prep + skew + h.PREPARE_LEAD / 2 \
-            + h.CP_PULSE_WIDTH
-        prep_bits = word_at(t_prep, t_prep_done + 0.4e-9)
-        sense_bits = word_at(t_m, t_m + h.PREPARE_LEAD * 0.9)
+        # The PREPARE word just after its CP pulse, the SENSE word near
+        # the end of the run.
+        t_prep_done = (t_m - h.PREPARE_LEAD + skew + h.PREPARE_LEAD / 2
+                       + h.CP_PULSE_WIDTH)
+        prep_bits = word_at(t_prep_done + 0.4e-9)
+        sense_bits = word_at(t_m + h.PREPARE_LEAD * 0.9)
 
         from repro.analysis.thermometer import ThermometerWord
 

@@ -9,7 +9,10 @@ flip-flop on the nominal rail.  Two measurement paths are provided:
   where tens of thousands of evaluations are needed;
 * **event-driven** (:class:`SensorBitHarness`) — a real netlist run
   through the simulator, PREPARE/SENSE phases and metastability
-  included; used by the waveform figures (Figs. 2, 3, 9).
+  included; used by the waveform figures (Figs. 2, 3, 9).  The one
+  event-driven PREPARE/SENSE sequencer (``_PrepareSense``) lives here:
+  the single bit is it on one stage, and
+  :class:`~repro.core.array.SensorArrayHarness` is it on every stage.
 
 The two paths agree at the pass/fail boundary by construction, and the
 test suite asserts it.
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cells.base import HIGH, LOW, LogicValue, UNKNOWN
+from repro.cells.base import LogicValue
 from repro.cells.combinational import Inverter
 from repro.cells.sequential import DFlipFlop
 from repro.core import paperdata
@@ -30,9 +34,11 @@ from repro.devices.technology import Technology
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.netlist import Netlist
-from repro.sim.trace import SampleRecord
-from repro.sim.waveform import ConstantWaveform, Waveform
-from repro.units import NS, PS
+from repro.sim.waveform import Waveform
+from repro.units import NS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.devices.variation import VariationSample
 
 
 class SenseRail(enum.Enum):
@@ -227,13 +233,193 @@ def _safe_log(window: float, distance: float) -> float:
     return math.log(window / distance)
 
 
-class SensorBitHarness:
+class _PrepareSense:
+    """Event-driven PREPARE/SENSE measurement of N INV+FF stages.
+
+    The thermometer (Fig. 1 right) is N identical stages sharing P and
+    the delayed clock; the single bit (Fig. 1 left) is the same circuit
+    on one stage.  This builds the netlist (the CP-route delay element,
+    trimmed for every stage's FF clock pin, then per stage a sensor
+    inverter on the measured rail driving its trim-loaded DS net and a
+    sense FF on the nominal rail), schedules the stimulus and collects
+    each stage's :class:`BitMeasure`.  :class:`SensorBitHarness` and
+    :class:`~repro.core.array.SensorArrayHarness` are its one-stage and
+    all-stage views; :meth:`~repro.core.faults.FaultInjector.screen`
+    schedules through it.
+
+    Args:
+        design: Calibrated sensor design.
+        rail: VDD (HIGH-SENSE) or GND (LOW-SENSE).
+        tech: Corner technology override for every cell.
+        name: Netlist name.
+        stages: ``(bit, suffix)`` per stage: the 1-based bit picks the
+            trim cap, the suffix names the stage's ``inv``/``ff``
+            instances and ``DS``/``OUT`` nets.
+        variation: Optional per-die sample; instance ``bit - 1`` varies
+            that stage's inverter.
+    """
+
+    #: Time allotted to the PREPARE phase before each SENSE instant.
+    PREPARE_LEAD = 2.0 * NS
+    #: Raw CP pulse width.
+    CP_PULSE_WIDTH = 0.4 * NS
+
+    def __init__(self, design: SensorDesign, rail: SenseRail,
+                 tech: Technology | None, name: str,
+                 stages: tuple[tuple[int, str], ...],
+                 variation: VariationSample | None = None) -> None:
+        self.design = design
+        self.rail = rail
+        self.tech = tech = tech if tech is not None else design.tech
+        # Built once: run_measures needs the corner-realized CP skew and
+        # the sampling window (the CP-route delay builds a flip-flop).
+        self.pulse_generator = PulseGenerator(design, tech)
+        self._window_pad = (design.cp_route_delay + max(design.delay_codes)
+                            + 0.5 * NS)
+        self._stages = stages
+
+        nl = Netlist(name)
+        nominal = design.tech.vdd_nominal
+        nl.add_supply("VDD", nominal)
+        nl.add_supply("GND", 0.0, is_ground=True)
+        nl.add_supply("VDDN", nominal)
+        nl.add_supply("GNDN", 0.0, is_ground=True)
+        for net in ("P", "CP", "CPD"):
+            nl.add_net(net)
+        nl.mark_external_input("P")
+        nl.mark_external_input("CP")
+
+        ffs = [design.sense_flipflop(tech, name=f"FF{b}") for b, _ in stages]
+        # The route is trimmed for the FF clock pins it drives.
+        route = design.cp_route_element(
+            tech, trim_load=len(ffs) * ffs[0].pin("CP").cap, name="CProute"
+        )
+        nl.add_instance("route", route, {"A": "CP", "Y": "CPD"},
+                        vdd="VDD", gnd="GND")
+        inv_vdd, inv_gnd = (("VDDN", "GND") if rail is SenseRail.VDD
+                            else ("VDD", "GNDN"))
+        for (b, s), ff in zip(stages, ffs):
+            inv_tech = (tech if variation is None
+                        else variation.technology_for(tech, b - 1))
+            nl.add_net(f"DS{s}", extra_cap=design.load_caps[b - 1])
+            nl.add_net(f"OUT{s}")
+            nl.add_instance(f"inv{s}",
+                            design.sensor_inverter(inv_tech, name=f"INV{b}"),
+                            {"A": "P", "Y": f"DS{s}"},
+                            vdd=inv_vdd, gnd=inv_gnd)
+            nl.add_instance(f"ff{s}", ff,
+                            {"D": f"DS{s}", "CP": "CPD", "Q": f"OUT{s}"},
+                            vdd="VDD", gnd="GND")
+        self.netlist = nl
+
+    def _engine(self, vdd_n: Waveform | float | None,
+                gnd_n: Waveform | float | None) -> SimulationEngine:
+        """A fresh engine on the bound rails, P at its PREPARE level and
+        both clocks low."""
+        bind_noisy_rails(self.netlist, vdd_n, gnd_n)
+        engine = SimulationEngine(self.netlist)
+        engine.set_initial("P", self.rail.prepare_p)
+        engine.set_initial("CP", 0)
+        engine.set_initial("CPD", 0)
+        return engine
+
+    def _schedule_stimulus(self, engine: SimulationEngine, skew: float,
+                           times: list[float]) -> None:
+        """Schedule the P and CP edges of one PREPARE/SENSE sequence per
+        SENSE instant in ``times``, the CP edges ``skew`` late."""
+        rail = self.rail
+        for t_m in times:
+            t_prep = t_m - self.PREPARE_LEAD
+            if t_prep > 0:
+                engine.schedule_stimulus("P", rail.prepare_p, t_prep)
+            # PREPARE sample: CP pulse while DS is forced, capturing the
+            # prepare level (the paper's '0000000' phase).
+            engine.schedule_stimulus("CP", 1, t_prep + skew
+                                     + self.PREPARE_LEAD / 2)
+            engine.schedule_stimulus("CP", 0, t_prep + skew
+                                     + self.PREPARE_LEAD / 2
+                                     + self.CP_PULSE_WIDTH)
+            # SENSE: release P, clock the FFs one skew later.
+            engine.schedule_stimulus("P", rail.sense_p, t_m)
+            engine.schedule_stimulus("CP", 1, t_m + skew)
+            engine.schedule_stimulus("CP", 0,
+                                     t_m + skew + self.CP_PULSE_WIDTH)
+
+    def _sense(self, code: int, measure_times: list[float],
+               vdd_n: Waveform | float | None,
+               gnd_n: Waveform | float | None
+               ) -> list[tuple[float, tuple[BitMeasure, ...]]]:
+        """Run the sequence; each SENSE instant with its stages'
+        measures, in stage order."""
+        if not measure_times:
+            raise ConfigurationError("measure_times must be non-empty")
+        times = list(measure_times)
+        if any(t2 - t1 < self.PREPARE_LEAD + 2 * self.CP_PULSE_WIDTH
+               for t1, t2 in zip(times, times[1:])):
+            raise ConfigurationError(
+                "measure_times too dense for PREPARE/SENSE sequencing"
+            )
+        if times[0] < self.PREPARE_LEAD:
+            raise ConfigurationError(
+                f"first measure must be at or after t={self.PREPARE_LEAD}"
+            )
+        engine = self._engine(vdd_n, gnd_n)
+        for _, s in self._stages:
+            engine.set_initial(f"DS{s}", self.rail.prepare_ds)
+            engine.set_initial(f"OUT{s}", 0)
+        # The harness bypasses the PG netlist but must apply the skew
+        # the PG would *realize in this technology*: at a corner the
+        # delay elements scale with the devices.
+        self._schedule_stimulus(engine, self.pulse_generator.skew(code),
+                                times)
+        engine.run(times[-1] + self.PREPARE_LEAD + 4 * self.CP_PULSE_WIDTH)
+        return [(t_m, tuple(self._collect(engine, t_m, b, s)
+                            for b, s in self._stages))
+                for t_m in times]
+
+    def _collect(self, engine: SimulationEngine, t_m: float, bit: int,
+                 s: str) -> BitMeasure:
+        # The SENSE sample is the first FF event at/after the SENSE
+        # instant (the PREPARE sample of the *next* measure is at least
+        # PREPARE_LEAD/2 later).
+        window_end = t_m + self._window_pad
+        sense = [rec for rec in engine.trace.samples_for(f"ff{s}")
+                 if t_m <= rec.time <= window_end]
+        if not sense:
+            raise SimulationError(f"bit {bit}: no SENSE sample at t={t_m}")
+        rec = sense[0]
+        ds_edges = [
+            t for t, v in engine.trace.transitions(f"DS{s}")
+            if t > t_m and v == (1 - self.rail.prepare_ds)
+        ]
+        return BitMeasure(
+            passed=rec.value == self.rail.pass_value,
+            value=rec.value,
+            outcome=rec.outcome,
+            ds_delay=ds_edges[0] - t_m if ds_edges else None,
+            out_delay=rec.clk_to_q,
+            setup_margin=rec.setup_margin,
+        )
+
+    def measure_once(self, code: int, *,
+                     vdd_n: Waveform | float | None = None,
+                     gnd_n: Waveform | float | None = None):
+        """One PREPARE/SENSE measurement: the only entry of the view's
+        ``run_measures`` at ``2 * PREPARE_LEAD``."""
+        return self.run_measures(
+            code, [2 * self.PREPARE_LEAD], vdd_n=vdd_n, gnd_n=gnd_n
+        )[0]
+
+
+class SensorBitHarness(_PrepareSense):
     """Event-driven measurement of one sensor bit.
 
-    Builds the Fig. 1 (left) netlist — sensor inverter on the measured
-    rail, trim capacitance on DS, CP-route delay element and sense FF on
-    the nominal rail — and runs PREPARE/SENSE sequences through the
-    event simulator.
+    The Fig. 1 (left) netlist: sensor inverter on the measured rail,
+    trim capacitance on ``DS``, CP-route delay element and sense FF on
+    the nominal rail, run through PREPARE/SENSE sequences in the event
+    simulator.  It is the array harness on one stage, named without a
+    stage suffix (instances ``route``/``inv``/``ff``, nets
+    ``DS``/``OUT``).
 
     Args:
         design: Calibrated sensor design.
@@ -242,57 +428,12 @@ class SensorBitHarness:
         tech: Corner technology override for every cell.
     """
 
-    #: Time allotted to the PREPARE phase before each SENSE instant.
-    PREPARE_LEAD = 2.0 * NS
-    #: Raw CP pulse width.
-    CP_PULSE_WIDTH = 0.4 * NS
-
     def __init__(self, design: SensorDesign, bit: int,
                  rail: SenseRail = SenseRail.VDD,
                  tech: Technology | None = None) -> None:
-        self.design = design
         self.bit = SensorBit(design, bit, rail)
-        self.rail = rail
-        self.tech = tech if tech is not None else design.tech
-        # Built once: run_measures needs the corner-realized CP skew and
-        # the nominal CP-route delay (which builds a flip-flop).
-        self.pulse_generator = PulseGenerator(design, self.tech)
-        self._route_delay_nom = design.cp_route_delay
-        self._build()
-
-    def _build(self) -> None:
-        design, tech = self.design, self.tech
-        nl = Netlist(f"sensor_bit{self.bit.bit}_{self.rail.value}")
-        nominal = design.tech.vdd_nominal
-        nl.add_supply("VDD", nominal)
-        nl.add_supply("GND", 0.0, is_ground=True)
-        nl.add_supply("VDDN", nominal)
-        nl.add_supply("GNDN", 0.0, is_ground=True)
-
-        nl.add_net("P")
-        nl.add_net("CP")
-        nl.add_net("CPD")
-        nl.add_net("DS", extra_cap=design.load_caps[self.bit.bit - 1])
-        nl.add_net("OUT")
-        nl.mark_external_input("P")
-        nl.mark_external_input("CP")
-
-        inv = design.sensor_inverter(tech, name=f"INV{self.bit.bit}")
-        ff = design.sense_flipflop(tech, name=f"FF{self.bit.bit}")
-        route = design.cp_route_element(
-            tech, trim_load=ff.pin("CP").cap, name="CProute"
-        )
-        if self.rail is SenseRail.VDD:
-            inv_vdd, inv_gnd = "VDDN", "GND"
-        else:
-            inv_vdd, inv_gnd = "VDD", "GNDN"
-        nl.add_instance("inv", inv, {"A": "P", "Y": "DS"},
-                        vdd=inv_vdd, gnd=inv_gnd)
-        nl.add_instance("route", route, {"A": "CP", "Y": "CPD"},
-                        vdd="VDD", gnd="GND")
-        nl.add_instance("ff", ff, {"D": "DS", "CP": "CPD", "Q": "OUT"},
-                        vdd="VDD", gnd="GND")
-        self.netlist = nl
+        super().__init__(design, rail, tech, f"sensor_bit{bit}_{rail.value}",
+                         ((bit, ""),))
 
     def bind_rails(self, *, vdd_n: Waveform | float | None = None,
                    gnd_n: Waveform | float | None = None) -> None:
@@ -326,93 +467,5 @@ class SensorBitHarness:
             SimulationError: when a SENSE sample is missing (harness
                 misconfiguration).
         """
-        if not measure_times:
-            raise ConfigurationError("measure_times must be non-empty")
-        times = list(measure_times)
-        if any(t2 - t1 < self.PREPARE_LEAD + 2 * self.CP_PULSE_WIDTH
-               for t1, t2 in zip(times, times[1:])):
-            raise ConfigurationError(
-                "measure_times too dense for PREPARE/SENSE sequencing"
-            )
-        if times[0] < self.PREPARE_LEAD:
-            raise ConfigurationError(
-                f"first measure must be at or after t={self.PREPARE_LEAD}"
-            )
-        bind_noisy_rails(self.netlist, vdd_n, gnd_n)
-        engine = SimulationEngine(self.netlist)
-        rail = self.rail
-        engine.set_initial("P", rail.prepare_p)
-        engine.set_initial("DS", rail.prepare_ds)
-        engine.set_initial("CP", 0)
-        engine.set_initial("CPD", 0)
-        engine.set_initial("OUT", 0)
-
-        # The harness bypasses the PG netlist but must apply the skew
-        # the PG would *realize in this technology* — at a corner the
-        # delay elements scale with the devices.
-        skew = self.pulse_generator.skew(code)
-        for t_m in times:
-            t_prep = t_m - self.PREPARE_LEAD
-            if t_prep > 0:
-                engine.schedule_stimulus("P", rail.prepare_p, t_prep)
-            # PREPARE sample: CP pulse while DS is forced — captures the
-            # prepare level (the paper's '0000000' phase).
-            engine.schedule_stimulus("CP", 1, t_prep + skew
-                                     + self.PREPARE_LEAD / 2)
-            engine.schedule_stimulus("CP", 0, t_prep + skew
-                                     + self.PREPARE_LEAD / 2
-                                     + self.CP_PULSE_WIDTH)
-            # SENSE: release P, clock the FF one skew later.
-            engine.schedule_stimulus("P", rail.sense_p, t_m)
-            engine.schedule_stimulus("CP", 1, t_m + skew)
-            engine.schedule_stimulus("CP", 0,
-                                     t_m + skew + self.CP_PULSE_WIDTH)
-        t_end = times[-1] + self.PREPARE_LEAD + 4 * self.CP_PULSE_WIDTH
-        engine.run(t_end)
-        return self._collect(engine, times)
-
-    def _collect(self, engine: SimulationEngine,
-                 times: list[float]) -> list[BitMeasure]:
-        route_delay_nom = self._route_delay_nom
-        results: list[BitMeasure] = []
-        samples = engine.trace.samples_for("ff")
-        for t_m in times:
-            # The SENSE sample is the first FF event at/after the SENSE
-            # instant (the PREPARE sample of the *next* measure is at
-            # least PREPARE_LEAD/2 later).
-            window_end = (t_m + route_delay_nom
-                          + max(self.design.delay_codes) + 0.5 * NS)
-            sense = [s for s in samples if t_m <= s.time <= window_end]
-            if not sense:
-                raise SimulationError(
-                    f"no SENSE sample found for measure at t={t_m}"
-                )
-            results.append(self._to_measure(engine, sense[0], t_m))
-        return results
-
-    def _to_measure(self, engine: SimulationEngine, rec: SampleRecord,
-                    t_m: float) -> BitMeasure:
-        rail = self.rail
-        passed = rec.value == rail.pass_value
-        ds_edges = [
-            (t, v) for t, v in engine.trace.transitions("DS")
-            if t > t_m and v == (1 - rail.prepare_ds)
-        ]
-        ds_delay = ds_edges[0][0] - t_m if ds_edges else None
-        return BitMeasure(
-            passed=passed,
-            value=rec.value,
-            outcome=rec.outcome,
-            ds_delay=ds_delay,
-            out_delay=rec.clk_to_q,
-            setup_margin=rec.setup_margin,
-        )
-
-    def measure_once(self, code: int, *,
-                     vdd_n: Waveform | float | None = None,
-                     gnd_n: Waveform | float | None = None
-                     ) -> BitMeasure:
-        """One PREPARE/SENSE measurement (convenience wrapper)."""
-        return self.run_measures(
-            code, [2.0 * self.PREPARE_LEAD], vdd_n=vdd_n, gnd_n=gnd_n
-        )[0]
+        return [measure for _, (measure,)
+                in self._sense(code, measure_times, vdd_n, gnd_n)]

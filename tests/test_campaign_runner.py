@@ -182,6 +182,30 @@ def test_other_stage_kinds_execute(tmp_path, kind):
     assert run.ok, run.record("s").volatile
 
 
+def test_cap_sweep_stage_matches_direct_sweep(tmp_path):
+    """A ``cap_sweep`` stage's payload is the Fig. 4 sweep the kernel
+    driver gives when called directly."""
+    from repro.core.calibration import paper_design
+    from repro.core.characterization import threshold_vs_capacitance
+
+    caps_ff = [4.0, 12.5, 30.0]
+    stages = [{"id": "s", "kind": "cap_sweep",
+               "params": {"caps_ff": caps_ff, "code": 2, "tol": 1e-3}}]
+    run = run_campaign(make_spec(stages=stages), out_dir=tmp_path / "out",
+                       execution="serial")
+    assert run.ok, run.record("s").volatile
+    rows = threshold_vs_capacitance(
+        paper_design(), [c * 1e-15 for c in caps_ff], code=2,
+        backend="kernel", tol=1e-3)
+    assert run.record("s").payload == {
+        "code": 2,
+        "caps_ff": caps_ff,
+        "thresholds": [thr for _cap, thr in rows],
+    }
+    assert read_stage_payload(tmp_path / "out", "s") == \
+        run.record("s").payload
+
+
 def test_telemetry_stage_runs_no_quantile_estimator(tmp_path, monkeypatch):
     """The stage's payload reads totals and events only, so it builds
     no P² estimator, and its payload is the default pipeline's."""
