@@ -15,8 +15,7 @@ miss runs its body in one of two places, set by the execution mode:
   armed cache and the seeded monkey's kill budget live in the
   campaign process, and the drill must trip them there;
 * ``parallel`` (default; ``threads`` is its legacy spelling) — in a
-  *stage process*, on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` created at the
+  *stage process*, on a :mod:`repro.runtime.pool` pool started at the
   first miss, so a fully resumed run starts no process.  It has
   ``stage_workers`` processes, or fewer when the DAG is too narrow to
   use them (a chain of stages gets one).  Pure-Python stages hold the
@@ -28,12 +27,11 @@ miss runs its body in one of two places, set by the execution mode:
 Under ``parallel``, parent and stage process split each stage's
 work: the parent reads the stage cache, evaluates the checks and
 writes the stage cache; a stage process runs only the body and hands
-back its :class:`StageOutcome` and its
-:data:`~repro.runtime.profiling.PROFILER` delta, which the parent
-merges.  A stage process that dies (SIGKILL, OOM) breaks the pool; the
-scheduler then raises a :class:`~repro.errors.CampaignError` naming
-the in-flight stages, and a re-invocation resumes from the stages
-already stored.
+back its :class:`StageOutcome` (and its profile phases, which the
+parent merges).  A stage process that dies (SIGKILL, OOM) breaks the
+pool; the scheduler then raises a :class:`~repro.errors.CampaignError`
+naming the in-flight stages, and a re-invocation resumes from the
+stages already stored.
 
 Bit-identity discipline
 -----------------------
@@ -67,6 +65,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -76,10 +75,10 @@ from repro.campaign.spec import CampaignSpec, StageSpec
 from repro.campaign.stages import NONDETERMINISTIC_KINDS, StageContext
 from repro.errors import CampaignError, StageExecutionError
 from repro.runtime.cache import ResultCache, task_key
-from repro.runtime.profiling import PROFILER, phase
+from repro.runtime.profiling import phase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ProcessPoolExecutor
+    from repro.runtime.pool import WorkerPool
 
 #: Stage processes when the spec and the CLI leave
 #: ``runtime.stage_workers`` at 0.  Fixed rather than sized to the
@@ -89,13 +88,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_STAGE_WORKERS = 4
 
 
-def _start_pool(max_workers: int) -> ProcessPoolExecutor:
-    """The stage pool.  ``concurrent.futures.process`` (and with it
-    ``multiprocessing``) is imported here, at the first stage-cache
-    miss, so a fully resumed run never loads it."""
-    from concurrent.futures import ProcessPoolExecutor
+def _start_pool(max_workers: int) -> WorkerPool:
+    """The stage pool, made at the first stage-cache miss, so a fully
+    resumed run loads neither it nor ``multiprocessing``."""
+    from repro.runtime.pool import WorkerPool
 
-    return ProcessPoolExecutor(max_workers=max_workers)
+    return WorkerPool(max_workers)
 
 
 def resolve_stage_workers(spec: CampaignSpec,
@@ -178,18 +176,13 @@ def _run_body(ctx: StageContext, stage: StageSpec) -> StageOutcome:
     )
 
 
-def _stage_process(ctx: StageContext, stage: StageSpec,
-                   profile: bool) -> tuple[StageOutcome, dict]:
-    """Stage-process entry: one body, then its outcome and the
-    profile phases it recorded."""
-    PROFILER.reset()
-    PROFILER.enabled = profile
+def _stage_process(ctx: StageContext, stage: StageSpec) -> StageOutcome:
+    """A stage-process task: one body."""
     try:
-        outcome = _run_body(ctx, stage)
+        return _run_body(ctx, stage)
     finally:
         # A pool worker never runs atexit hooks.
         ctx.cache.flush_stats()
-    return outcome, PROFILER.snapshot()
 
 
 def _pool_size(order: tuple[str, ...], stages: dict[str, StageSpec],
@@ -260,7 +253,7 @@ def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
     # per-stage counters) and runs its inner maps serially.
     child_ctx = replace(ctx, cache=ResultCache(ctx.cache.root),
                         inner_workers=1)
-    pool: ProcessPoolExecutor | None = None
+    pool: WorkerPool | None = None
 
     def settle(sid: str, outcome: StageOutcome) -> None:
         nonlocal abort_pos
@@ -304,16 +297,15 @@ def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
                     return sid
                 else:
                     if pool is None:
-                        pool = _start_pool(_pool_size(order, stages,
-                                                      stage_workers))
-                    fut = pool.submit(_stage_process, child_ctx, stage,
-                                      PROFILER.enabled)
+                        pool = stack.enter_context(_start_pool(
+                            _pool_size(order, stages, stage_workers)))
+                    fut = pool.submit(_stage_process, child_ctx, stage)
                     in_flight[fut] = sid
                 waiting.remove(sid)
                 progressed = True
         return None
 
-    try:
+    with ExitStack() as stack:  # joins or kills the stage pool
         while waiting or in_flight:
             with phase("campaign.schedule"):
                 sid = dispatch()
@@ -342,7 +334,7 @@ def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
                 # when several futures land in the same wake-up.
                 for fut in sorted(done, key=lambda f: pos[in_flight[f]]):
                     try:
-                        outcome, profile = fut.result()
+                        outcome = pool.result(fut)
                     except BrokenProcessPool as exc:
                         lost = sorted(in_flight.values(), key=pos.get)
                         raise CampaignError(
@@ -350,11 +342,7 @@ def execute_outcomes(spec: CampaignSpec, ctx: StageContext, *,
                             f"{lost} in flight; re-run the campaign "
                             f"to resume from the stored stages"
                         ) from exc
-                    PROFILER.merge(profile)
                     settle(in_flight.pop(fut), outcome)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
     return outcomes
 
 

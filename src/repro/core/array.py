@@ -33,9 +33,6 @@ from repro.core.sensor import (
 from repro.devices.technology import Technology
 from repro.devices.variation import VariationSample
 from repro.errors import ConfigurationError
-# Not called here (the harness's engine is built in repro.core.sensor);
-# the engine-oracle test patches this name in every module it lists.
-from repro.sim.engine import SimulationEngine  # noqa: F401
 from repro.sim.waveform import Waveform
 
 

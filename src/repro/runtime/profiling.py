@@ -15,7 +15,8 @@ Phase names are dotted, coarse and stable — they are a CLI contract:
 * ``kernel.decode`` — vectorized word/decode grid evaluation;
 * ``kernel.mc``     — batched Monte-Carlo draw-cube evaluation;
 * ``kernel.transient`` — exact-ZOH PDN transient stepping;
-* ``runtime.pool``  — process-pool dispatch (workers > 1);
+* ``runtime.pool``  — a map on the process pool (workers > 1); its
+  workers' phases are merged in and nest inside it;
 * ``cache.get`` / ``cache.put`` — result-cache disk IO.
 
 The CLI's ``--profile`` flag enables the profiler around a sweep and
@@ -102,10 +103,10 @@ class PhaseProfiler:
     def report(self, *, total: float | None = None) -> str:
         """Human-readable breakdown, widest phase first.
 
-        Phases may nest (``kernel.solve`` inside ``campaign.stage.*``)
-        and overlap (concurrent campaign stages), so summed phase time is
-        not wall time: the report prints the two as separately labelled
-        quantities.
+        Phases may nest (``kernel.solve`` inside ``campaign.stage.*``
+        or ``runtime.pool``) and overlap (concurrent stages or pool
+        workers), so summed phase time is not wall time: the report
+        prints the two as separately labelled quantities.
 
         Args:
             total: Overall wall time.  When the summed phase time fits

@@ -41,9 +41,8 @@ runtime has to survive the faults its own payload can detect:
   ``store.put()`` the moment each task completes, so a crash mid-sweep
   keeps all completed work on disk for the next run.
 
-Task exceptions never break the pool: the worker-side guard returns
-``("ok", value)`` or ``("err", exc, traceback)`` so only a genuine
-process death produces ``BrokenProcessPool``.
+Workers run through :mod:`repro.runtime.pool`, so only a process death
+breaks the pool and each task's profile phases reach the parent.
 """
 
 from __future__ import annotations
@@ -51,11 +50,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import pickle
 import time
-import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Literal, Sequence
@@ -66,6 +63,7 @@ from repro.errors import (
     TaskTimeoutError,
     WorkerCrashError,
 )
+from repro.runtime.pool import WorkerPool
 from repro.runtime.profiling import PROFILER
 
 FailurePolicy = Literal["raise", "partial"]
@@ -195,26 +193,6 @@ class MapOutcome:
         return not self.failures
 
 
-# -- worker-side guard ---------------------------------------------------------
-
-
-def _guarded(payload: tuple[Callable[[Any], Any], Any]) -> tuple:
-    """Run one task; return a tagged outcome instead of raising.
-
-    Keeps task exceptions from being conflated with worker crashes:
-    only a genuine process death can now break the pool.
-    """
-    fn, item = payload
-    try:
-        return ("ok", fn(item))
-    except Exception as exc:
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return ("err", exc, traceback.format_exc())
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -325,19 +303,18 @@ class _Run:
         # task waits behind each worker, so no worker idles while the
         # parent hands it the next task.
         window = n if self.policy.task_timeout is not None else 2 * n
-        pool = ProcessPoolExecutor(max_workers=n)
         ready: deque[_Slot] = deque(self.slots)
         delayed: list[tuple[float, int, _Slot]] = []
         tie = itertools.count()
         inflight: dict = {}
-        try:
+        with WorkerPool(n) as pool:
             while ready or delayed or inflight:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     ready.append(heapq.heappop(delayed)[2])
                 while ready and len(inflight) < window:
                     slot = ready.popleft()
-                    fut = pool.submit(_guarded, (self.fn, slot.item))
+                    fut = pool.submit(self.fn, slot.item)
                     slot.deadline = (
                         now + self.policy.task_timeout
                         if self.policy.task_timeout is not None else None
@@ -362,7 +339,7 @@ class _Run:
                 for fut in done:
                     slot = inflight.pop(fut)
                     try:
-                        tag = fut.result()
+                        value = pool.result(fut)
                     except BrokenProcessPool:
                         crashed = True
                         self._retry_or_fail(
@@ -371,18 +348,13 @@ class _Run:
                         )
                         continue
                     except Exception as exc:
-                        # Result transfer failed (e.g. unpicklable
-                        # value): a task error, not a crash.
+                        # The task raised, or its result could not be
+                        # sent back: a task error, not a crash.
                         self._retry_or_fail(slot, delayed, tie, "error",
                                             exc, f"{exc}")
                         continue
-                    if tag[0] == "ok":
-                        self.stats.completed += 1
-                        self.on_ok(slot.index, tag[1])
-                    else:
-                        _, exc, _tb = tag
-                        self._retry_or_fail(slot, delayed, tie, "error",
-                                            exc, f"{exc}")
+                    self.stats.completed += 1
+                    self.on_ok(slot.index, value)
 
                 if crashed:
                     # Every sibling future is broken too; charge each
@@ -395,14 +367,15 @@ class _Run:
                             slot, delayed, tie, "crash", None,
                             "worker pool broke while task in flight",
                         )
-                    pool = self._rebuild(pool, n)
-                    continue
-
-                now = time.monotonic()
-                expired = [(fut, slot) for fut, slot in inflight.items()
-                           if slot.deadline is not None
-                           and slot.deadline <= now and not fut.done()]
-                if expired:
+                else:
+                    now = time.monotonic()
+                    expired = [(fut, slot)
+                               for fut, slot in inflight.items()
+                               if slot.deadline is not None
+                               and slot.deadline <= now
+                               and not fut.done()]
+                    if not expired:
+                        continue
                     for fut, slot in expired:
                         inflight.pop(fut)
                         self._retry_or_fail(
@@ -415,12 +388,8 @@ class _Run:
                     # attempt charge (their work is recomputed).
                     for fut in list(inflight):
                         ready.appendleft(inflight.pop(fut))
-                    pool = self._rebuild(pool, n)
-        except BaseException:
-            _kill_pool(pool)
-            raise
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+                self.stats.pool_rebuilds += 1
+                pool.kill()
 
     def _retry_or_fail(self, slot: _Slot, delayed: list, tie,
                        kind: str, cause: BaseException | None,
@@ -429,30 +398,6 @@ class _Run:
             not_before = (time.monotonic()
                           + self.policy.delay(slot.index, slot.attempts))
             heapq.heappush(delayed, (not_before, next(tie), slot))
-
-    def _rebuild(self, pool: ProcessPoolExecutor,
-                 n: int) -> ProcessPoolExecutor:
-        self.stats.pool_rebuilds += 1
-        _kill_pool(pool)
-        return ProcessPoolExecutor(max_workers=n)
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down hard: stuck workers are killed, not joined."""
-    procs = list(getattr(pool, "_processes", None) or {})
-    processes = getattr(pool, "_processes", None) or {}
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for pid in procs:
-        proc = processes.get(pid)
-        if proc is None:
-            continue
-        try:
-            proc.kill()
-        except Exception:
-            pass
 
 
 # -- public API ----------------------------------------------------------------

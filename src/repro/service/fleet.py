@@ -15,10 +15,10 @@ tasks).  The server calls it two ways:
 * inline — ``execute_job(payload, backend=shard_backend)`` in a
   worker thread, so the shard's (possibly fault-injected) driver
   instance is used directly;
-* pooled — ``execute_job(payload)`` inside a
-  :class:`~concurrent.futures.ProcessPoolExecutor` worker, which
-  resolves and configures its own driver from ``payload["backend"]``
-  once per process.
+* pooled — ``execute_job(payload)`` in a shard's
+  :class:`~repro.runtime.pool.WorkerPool` worker, which resolves and
+  configures its own driver from ``payload["backend"]`` once per
+  process.
 
 Chaos directives ride inside ``payload["chaos"]`` using the marker-
 file idiom of :class:`~repro.runtime.chaos.KillOnceTask`, so a killed

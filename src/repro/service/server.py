@@ -30,7 +30,9 @@ Guarantees the chaos drill asserts:
 Deadlines are cooperative: the shard loop stops *awaiting* work at the
 deadline (``asyncio.wait_for`` cancels the waiter); an inline worker
 thread or pool process finishes its kernel batch in the background and
-the result is discarded.  Retry backoff reuses the resilient runtime's
+the result is discarded.  Only a crash rebuild kills a shard pool:
+killing an abandoned job's worker would kill sibling jobs the server
+cannot requeue.  Retry backoff reuses the resilient runtime's
 deterministic :class:`~repro.runtime.resilient.RetryPolicy` schedule.
 """
 
@@ -41,7 +43,6 @@ import dataclasses
 import functools
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -62,6 +63,7 @@ from repro.errors import (
 )
 from repro.runtime.cache import ResultCache, design_fingerprint, \
     resolve_cache, stable_hash, task_key
+from repro.runtime.pool import WorkerPool
 from repro.runtime.resilient import RetryPolicy
 from repro.service.admission import AdmissionQueue, TokenBucket
 from repro.service.breaker import CircuitBreaker
@@ -133,29 +135,15 @@ class _Shard:
         self.queue = queue
         self.breaker = breaker
         self.backend = backend          # inline mode
-        self.pool_workers = pool_workers
-        self.pool: ProcessPoolExecutor | None = None
+        self.pool = WorkerPool(pool_workers)  # pool mode; started lazily
         self.task: asyncio.Task | None = None
         self.pool_rebuilds = 0
         self.executed = 0
 
-    def ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(
-                max_workers=self.pool_workers
-            )
-        return self.pool
-
     def rebuild_pool(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-        self.pool = ProcessPoolExecutor(max_workers=self.pool_workers)
+        """After a crash: the next job starts fresh workers."""
+        self.pool.kill()
         self.pool_rebuilds += 1
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = None
 
 
 def _retryable(exc: BaseException) -> bool:
@@ -479,15 +467,14 @@ class JobServer:
 
     async def _run_once(self, shard: _Shard, payload: dict,
                         timeout: float | None) -> dict:
-        loop = asyncio.get_running_loop()
-        if self.executor == "pool":
-            fut = loop.run_in_executor(shard.ensure_pool(),
-                                       execute_job, payload)
-        else:
-            fut = asyncio.to_thread(execute_job, payload,
-                                    shard.backend)
         shard.executed += 1
-        return await asyncio.wait_for(fut, timeout=timeout)
+        if self.executor == "inline":
+            return await asyncio.wait_for(
+                asyncio.to_thread(execute_job, payload, shard.backend),
+                timeout=timeout)
+        fut = shard.pool.submit(execute_job, payload)
+        await asyncio.wait_for(asyncio.wrap_future(fut), timeout=timeout)
+        return shard.pool.result(fut)
 
     async def _execute(self, shard: _Shard, jobs: list[Job],
                        payload: dict, deadline: float | None) -> dict:
@@ -759,7 +746,7 @@ class JobServer:
                 await self._reject(job, AdmissionRejectedError(
                     "server shutting down"
                 ))
-            shard.close()
+            shard.pool.join()
         if self.cache is not None:
             # Persist this process's hit/miss deltas to the cache
             # root's cross-process stats log before exit, so a

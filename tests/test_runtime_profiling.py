@@ -5,7 +5,9 @@ overlap (concurrent threads, or stage processes merged into the
 parent), so their summed time is not wall time.  The report must
 label the two separately, keep every share at or below 100 %, and
 print an ``(other)`` residual only when the phases fit inside the wall
-time.
+time.  Pool workers' phases reach the parent: a map books every task's
+phase whatever the pool size, and ``--profile`` lists the same phases
+for a serial and a pooled run.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.runtime.profiling import PROFILER, PhaseProfiler
+from repro.runtime.profiling import PROFILER, PhaseProfiler, phase
+from repro.runtime.resilient import resilient_map
 
 
 def _shares(report: str) -> dict[str, float]:
@@ -164,3 +168,77 @@ def test_forked_child_can_add_while_parent_holds_the_lock():
         child.kill()
     assert not hung
     assert child.exitcode == 0
+
+
+# -- phases cross the process boundary ----------------------------------------
+
+DATA = Path(__file__).parent / "data" / "campaigns"
+
+
+@pytest.fixture
+def enabled_profiler():
+    was = PROFILER.enabled
+    PROFILER.reset()
+    PROFILER.enable()
+    yield PROFILER
+    PROFILER.enabled = was
+    PROFILER.reset()
+
+
+def _phase_task(x):
+    with phase("x"):
+        return x + 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_books_every_task_phase_on_any_pool_size(enabled_profiler,
+                                                     workers):
+    n = 7
+    out = resilient_map(_phase_task, range(n), workers=workers)
+    assert out.results == [i + 1 for i in range(n)]
+    assert enabled_profiler.snapshot()["x"][0] == n
+
+
+def test_disabled_profiler_records_nothing_in_pool_workers():
+    assert not PROFILER.enabled
+    PROFILER.reset()
+    resilient_map(_phase_task, range(4), workers=2)
+    assert PROFILER.snapshot() == {}
+
+
+def _cli_profile(capsys, *argv) -> tuple[str, set[str]]:
+    """Run the CLI with ``--profile``; return the report text before the
+    profile block and the phase names the block lists."""
+    from repro.cli import main
+    from repro.kernels import ladders
+
+    # Each run solves its ladders afresh, so kernel phases show.
+    ladders.clear()
+    assert main([*argv, "--profile"]) == 0
+    text, _, block = capsys.readouterr().out.partition("\n--profile\n")
+    table = block.split("summed phase time")[0].splitlines()[1:]
+    names = {line.split()[0] for line in table} - {"(other)"}
+    return text, names
+
+
+def test_cli_yield_profile_lists_pool_workers_phases(capsys, monkeypatch):
+    """``repro yield --workers 2 --profile`` lists the kernel phases the
+    pool workers ran: the serial run's phases plus ``runtime.pool``,
+    with the same report."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    args = ("yield", "--dies", "120", "--workers")
+    serial_text, serial = _cli_profile(capsys, *args, "1")
+    pooled_text, pooled = _cli_profile(capsys, *args, "2")
+    assert pooled_text == serial_text
+    assert {"kernel.solve", "kernel.decode"} <= serial
+    assert pooled == serial | {"runtime.pool"}
+
+
+def test_cli_campaign_profile_names_match_across_modes(capsys, tmp_path):
+    names = {}
+    for mode in ("serial", "parallel"):
+        _, names[mode] = _cli_profile(
+            capsys, "campaign", "run", str(DATA / "smoke.toml"),
+            "--out", str(tmp_path / mode), "--execution", mode)
+    assert names["parallel"] == names["serial"]
+    assert "kernel.solve" in names["parallel"]

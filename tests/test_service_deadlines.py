@@ -10,6 +10,9 @@ The edges that kill real services:
 * a deadline expiring mid-execution — cooperative cancellation: the
   caller gets its (degraded) answer on time while the worker finishes
   in the background;
+* a deadline expiring on the pool executor — the same cooperative
+  abandonment: the worker is not killed, because killing it would kill
+  sibling jobs too; only a crash rebuild kills the old pool's workers;
 * a half-open breaker probe racing newly admitted work — exactly one
   probe executes; everything else answers from the degradation ladder
   without touching the backend.
@@ -18,6 +21,7 @@ The edges that kill real services:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import time
 
 import numpy as np
@@ -278,3 +282,77 @@ def test_half_open_probe_success_closes_and_recovers(tmp_path):
     breaker = server.stats()["shards"][0]["breaker"]
     assert breaker["closes"] == 1
     assert breaker["state"] == "closed"
+
+
+def _new_children(before: set[int]) -> list:
+    return [p for p in multiprocessing.active_children()
+            if p.pid not in before]
+
+
+def test_pool_deadline_abandons_the_job_but_keeps_the_pool(tmp_path):
+    """``executor="pool"``: a job abandoned at its deadline is answered
+    on time, and its worker keeps running — killing it would also kill
+    sibling jobs, which the server cannot requeue.  The next job on the
+    shard completes in full, and each request gets one response."""
+    stall = 1.0
+    server = JobServer(backend="kernel", executor="pool", pool_workers=2,
+                       config=ONE_SHARD, retry_policy=RetryPolicy(retries=0))
+    before = {p.pid for p in multiprocessing.active_children()}
+
+    async def run():
+        address = await _serve(server, tmp_path)
+        client = await AsyncServiceClient(address).connect()
+        await client.send("slow", "measure",
+                          params={"level": 1.05, "code": 3,
+                                  "chaos": {"sleep_s": stall}},
+                          deadline_s=0.15)
+        slow = await client.read_response()
+        workers = _new_children(before)
+        await client.send("next", "measure",
+                          params={"level": 1.05, "code": 3})
+        after = await client.read_response()
+        alive = [p for p in workers if p.is_alive()]
+        await client.close()
+        await server.stop()
+        return slow, after, workers, alive
+
+    slow, after, workers, alive = asyncio.run(run())
+    assert slow["quality"] == "degraded"
+    assert after["quality"] == "full"
+    assert len(workers) == 2 and alive == workers
+    assert server.counters["responses"] == 2
+    assert server.counters["deadline"] >= 1
+    assert server.stats()["shards"][0]["pool_rebuilds"] == 0
+
+
+def test_crash_rebuild_leaves_no_worker_of_the_old_pool_alive(tmp_path):
+    """``rebuild_pool`` kills the old pool's workers, the busy worker of
+    an abandoned job included; the next job runs on a fresh pool."""
+    server = JobServer(backend="kernel", executor="pool", pool_workers=2,
+                       config=ONE_SHARD, retry_policy=RetryPolicy(retries=0))
+    before = {p.pid for p in multiprocessing.active_children()}
+
+    async def run():
+        address = await _serve(server, tmp_path)
+        client = await AsyncServiceClient(address).connect()
+        await client.send("stuck", "measure",
+                          params={"level": 1.05, "code": 3,
+                                  "chaos": {"sleep_s": 60.0}},
+                          deadline_s=0.15)
+        await client.read_response()
+        old = _new_children(before)
+        server.shards[0].rebuild_pool()
+        for proc in old:
+            proc.join(timeout=5)
+        await client.send("next", "measure",
+                          params={"level": 1.05, "code": 3})
+        after = await client.read_response()
+        await client.close()
+        await server.stop()
+        return old, after
+
+    old, after = asyncio.run(run())
+    assert len(old) == 2
+    assert [p.pid for p in old if p.is_alive()] == []
+    assert after["quality"] == "full"
+    assert server.stats()["shards"][0]["pool_rebuilds"] == 1

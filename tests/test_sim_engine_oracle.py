@@ -421,12 +421,11 @@ class OracleEngine:
 #: Every module that builds an engine by its own ``SimulationEngine`` name.
 ENGINE_MODULES = (
     "repro.core.sensor",
-    "repro.core.array",
     "repro.core.system",
     "repro.core.pulsegen",
     "repro.core.counter",
     "repro.baselines.ring_oscillator",
-    "repro.sim.engine",  # FaultInjector.screen imports it at call time
+    "repro.sim.engine",  # baselines/razor.py imports it at call time
 )
 
 
