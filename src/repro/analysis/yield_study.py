@@ -40,7 +40,7 @@ from repro.runtime import (
     resilient_map,
     resolve_cache,
     resolve_workers,
-    task_key,
+    task_keys,
 )
 from repro.runtime.resilient import FAILURE_POLICIES
 
@@ -284,8 +284,7 @@ def run_yield_study(design: "SensorDesign",
     keys: list[str] = []
     if store is not None:
         fp = design_fingerprint(design)
-        keys = [task_key("die-score", fp, sample, code, supply_grid)
-                for sample in lot]
+        keys = task_keys("die-score", (fp,), lot, (code, supply_grid))
         for i, key in enumerate(keys):
             hit, value = store.get(key)
             if hit:

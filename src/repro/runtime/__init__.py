@@ -67,6 +67,7 @@ _EXPORTS = {
     "resolve_workers": ".executor",
     "stable_hash": ".cache",
     "task_key": ".cache",
+    "task_keys": ".cache",
 }
 
 __all__ = list(_EXPORTS)

@@ -174,3 +174,18 @@ def test_named_driver_ignores_pool_and_cache(design, tmp_path):
     assert cache.entries() == []
     assert (cache.hits, cache.misses) == (0, 0)
     assert report == run_yield_study(design, MILD, n_dies=6, seed=5)
+
+
+def test_smaller_lot_warms_the_prefix_of_a_larger_one(design, tmp_path):
+    """Die ``k``'s key depends on its own sample only, so a 500-die lot
+    reads the 200 dies a smaller lot with its seed cached."""
+    from repro.runtime import ResultCache
+
+    model = VariationModel()
+    run_yield_study(design, model, n_dies=200, seed=11,
+                    cache=ResultCache(tmp_path))
+    cache = ResultCache(tmp_path)
+    report = run_yield_study(design, model, n_dies=500, seed=11,
+                             cache=cache)
+    assert (cache.hits, cache.misses, cache.errors) == (200, 300, 0)
+    assert report == run_yield_study(design, model, n_dies=500, seed=11)
